@@ -12,7 +12,10 @@ All commands share a --workdir holding the dataset and derived artifacts:
       models/         stage-2 checkpoints
       metrics/        metric tables
 
-Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric divergence.
+Exit codes: 0 ok; 2 usage error (unknown command or option, malformed
+option value); 3 data error or invalid argument value (missing or malformed
+dataset or artifact, `--N 13`, `--S 0`); 4 numeric failure in training
+(diverged loss, non-finite activation).
 """
 
 from __future__ import annotations
@@ -127,18 +130,21 @@ def preprocess_cmd(ctx):
     workdir = ctx.obj["workdir"]
     config = _load_config(workdir, ctx.obj["seed"])
     ds = _dataset(workdir, config)
+    # Ingest every clip before the first write, so a bad clip leaves no
+    # partial output.
+    seqs = {clip_id: ds.sequences[clip_id]
+            for clip_id in sorted(e.clip_id for e in ds.manifest.entries)}
     out = workdir / "preprocessed"
     out.mkdir(parents=True, exist_ok=True)
     report_lines = []
-    for clip_id in sorted(ds.sequences):
-        seq = ds.sequences[clip_id]
+    for clip_id, seq in seqs.items():
         np.savez(out / f"{clip_id}.npz", xy=seq.xy, confidence=seq.confidence)
         report_lines.extend(ds.reports[clip_id].lines())
     (out / "meta.txt").write_text(
         f"config_hash={config.config_hash()}\nseed={config.seed}\n")
     (out / "repair_report.csv").write_text("\n".join(report_lines) + "\n"
                                            if report_lines else "")
-    click.echo(f"preprocessed {len(ds.sequences)} clips -> {out}")
+    click.echo(f"preprocessed {len(seqs)} clips -> {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +208,11 @@ def encoder_train(ctx, epochs, lr):
     config = _load_config(workdir, ctx.obj["seed"])
     ds = _dataset(workdir, config)
     out = workdir / "encoders"
-    out.mkdir(parents=True, exist_ok=True)
     for track in ("upper", "lower"):
         spec = neural.TrainSpec(learning_rate=lr, epochs=epochs,
                                 seed=config.seed, loss="softmax")
         enc = pipeline.train_encoder(ds, track, spec)
+        out.mkdir(parents=True, exist_ok=True)
         neural.save_checkpoint(enc.inner, out / f"{track}.ckpt",
                                config.config_hash())
         click.echo(f"{track}: encoder -> {out / (track + '.ckpt')}")
@@ -244,13 +250,10 @@ def exemplars_build(ctx, ex_manifest, feature_kind, per_class):
     config = _load_config(workdir, ctx.obj["seed"])
     ds = _dataset(workdir, config)
     out = workdir / "exemplars" / feature_kind
-    out.mkdir(parents=True, exist_ok=True)
     if ex_manifest is None:
         rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
                                     config.window_stride, per_class,
                                     config.seed)
-        ex_manifest = out / "exemplars.csv"
-        bodylang.save_exemplar_manifest(rows, ex_manifest)
     else:
         rows = bodylang.load_exemplar_manifest(ex_manifest)
     codebooks = _load_codebooks(workdir, config) \
@@ -261,6 +264,9 @@ def exemplars_build(ctx, ex_manifest, feature_kind, per_class):
                                    if feature_kind == "ntraj+"
                                    else bodylang.FEATURE_STCONV,
                                    codebooks, encoders)
+    out.mkdir(parents=True, exist_ok=True)
+    if ex_manifest is None:
+        bodylang.save_exemplar_manifest(rows, out / "exemplars.csv")
     for track, store in stores.items():
         np.savez(out / f"{track}.npz", features=store.features,
                  labels=store.labels,
@@ -351,7 +357,7 @@ def _stage2_splits(ctx, hist_len, stride, source, feature_kind):
     workdir = ctx.obj["workdir"]
     config = _load_config(workdir, ctx.obj["seed"])
     ds = _dataset(workdir, config)
-    hist_len = hist_len if hist_len > 0 else 10 ** 9  # L=K: whole track
+    hist_len = 10 ** 9 if hist_len == 0 else hist_len  # L=K: whole track
     data = {}
     for split in ("train", "val", "test"):
         preds = None
@@ -526,8 +532,7 @@ def sweep_cmd(ctx, axis, source, feature_kind):
         lines.append("N,track,window_accuracy,video_f1")
         for n in ADMISSIBLE_CODEBOOK_SIZES:
             cfg = dataclasses.replace(config, codebook_size=n)
-            sub = pipeline.Dataset(ds.manifest, ds.label_sets, cfg,
-                                   ds.sequences, ds.reports, ds.gt_windows)
+            sub = dataclasses.replace(ds, config=cfg)
             books = {t: pipeline.train_codebooks(sub, t)
                      for t in ("upper", "lower")}
             rows = synth.pick_exemplars(ds.manifest, ds.gt_windows,

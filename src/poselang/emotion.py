@@ -9,7 +9,7 @@ import numpy as np
 
 from . import metrics, neural
 from .bodylang import BodyLanguageSequence
-from .core import LabelSet, PoselangError
+from .core import LabelSet, PoselangError, ValidationError
 
 N_EMOTIONS = 25  # 24 labeled emotions plus background
 
@@ -45,6 +45,9 @@ def histogram_sequence(pred: BodyLanguageSequence,
     video-level histogram is produced (the track is used whole, so the
     halves sum to K).
     """
+    if hist_len < 1 or stride < 1:
+        raise ValidationError(
+            f"histogram length L={hist_len} and stride S={stride} must be >= 1")
     K = pred.n_windows
     n_upper = pred.upper.max(initial=0) + 1
     n_lower = pred.lower.max(initial=0) + 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -227,9 +228,17 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
                         if lset is not None and name not in lset.names:
                             raise UnknownLabel(
                                 f"manifest line {lineno}: {track} label {name!r}")
+            try:
+                frame_rate = float(fps)
+            except ValueError:
+                frame_rate = math.nan
+            if not (math.isfinite(frame_rate) and frame_rate > 0):
+                raise MalformedFile(
+                    f"{path.name} line {lineno}: fps {fps!r} is not a "
+                    "finite number > 0")
             window_path = parts[5].strip() if len(parts) > 5 and parts[5].strip() else None
             entries.append(ManifestEntry(
-                clip_id=clip_id, path=clip_path, frame_rate=float(fps),
+                clip_id=clip_id, path=clip_path, frame_rate=frame_rate,
                 split=split, labels=labels, window_labels_path=window_path))
     if not entries:
         raise EmptyManifest(f"{path} holds no entries")
@@ -238,13 +247,26 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
 
 def load_window_labels(path) -> list[tuple[str, str]]:
     """Read per-window ground truth: `window_index,upper,lower` lines."""
+    path = Path(path)
     rows: list[tuple[str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            idx, upper, lower = line.split(",")
-            assert int(idx) == len(rows), "window labels out of order"
+            parts = line.split(",")
+            where = f"{path.name} line {lineno}"
+            if len(parts) != 3:
+                raise MalformedFile(
+                    f"{where}: expected 3 columns, got {len(parts)}")
+            idx, upper, lower = parts
+            try:
+                index = int(idx)
+            except ValueError:
+                raise MalformedFile(
+                    f"{where}: window index {idx!r} is not an integer") from None
+            if index != len(rows):
+                raise MalformedFile(
+                    f"{where}: window index {index}, expected {len(rows)}")
             rows.append((upper.strip(), lower.strip()))
     return rows

@@ -5,7 +5,8 @@ training, and evaluate."""
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,36 +15,76 @@ from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj,
 from .core import LabelSet, PipelineConfig, PoseSequence
 
 
+class ClipSequences(Mapping):
+    """Preprocessed pose sequences keyed by clip id, each ingested the
+    first time it is read.
+
+    Stage 2 and evaluation read only labels, so a command pays for the
+    keypoint files of exactly the clips it touches.  Each clip's repair
+    report is stored into `reports` when the clip is loaded.  The map
+    holds no reference to its Dataset, so the two form no cycle.
+    """
+
+    def __init__(self, manifest: ingest.DatasetManifest,
+                 config: PipelineConfig,
+                 reports: dict[str, preprocess.RepairReport]):
+        self._entries = {e.clip_id: e for e in manifest.entries}
+        self._root = manifest.root
+        self._config = config
+        self._reports = reports
+        self._loaded: dict[str, PoseSequence] = {}
+
+    def __getitem__(self, clip_id: str) -> PoseSequence:
+        seq = self._loaded.get(clip_id)
+        if seq is None:
+            entry = self._entries[clip_id]
+            raw = ingest.load_sequence(self._root / entry.path,
+                                       entry.frame_rate)
+            seq, self._reports[clip_id] = preprocess.preprocess(
+                raw, self._config)
+            self._loaded[clip_id] = seq
+        return seq
+
+    def __contains__(self, clip_id) -> bool:
+        return clip_id in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class Dataset:
-    """A loaded-and-preprocessed dataset kept in memory."""
+    """A dataset's manifest, labels and window ground truth, with pose
+    sequences that load on first use."""
 
     manifest: ingest.DatasetManifest
     label_sets: dict[str, LabelSet]
     config: PipelineConfig
-    sequences: dict[str, PoseSequence] = field(default_factory=dict)
-    reports: dict[str, preprocess.RepairReport] = field(default_factory=dict)
-    gt_windows: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+    sequences: Mapping[str, PoseSequence]
+    reports: dict[str, preprocess.RepairReport]
+    gt_windows: dict[str, list[tuple[str, str]]]
 
 
 def load_dataset(manifest_path, config: PipelineConfig,
                  label_sets: dict[str, LabelSet] | None = None) -> Dataset:
+    """Read the manifest, label sets and window labels; pose clips are
+    ingested later, when `ds.sequences` is first indexed by their id."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     if label_sets is None:
         from .core import load_label_sets
         label_sets = load_label_sets(root / "labels.csv")
     manifest = ingest.load_manifest(manifest_path, label_sets)
-    ds = Dataset(manifest=manifest, label_sets=label_sets, config=config)
-    for entry in manifest.entries:
-        raw = ingest.load_sequence(root / entry.path, entry.frame_rate)
-        seq, report = preprocess.preprocess(raw, config)
-        ds.sequences[entry.clip_id] = seq
-        ds.reports[entry.clip_id] = report
-        if entry.window_labels_path:
-            ds.gt_windows[entry.clip_id] = ingest.load_window_labels(
-                root / entry.window_labels_path)
-    return ds
+    gt_windows = {e.clip_id: ingest.load_window_labels(
+                      root / e.window_labels_path)
+                  for e in manifest.entries if e.window_labels_path}
+    reports: dict[str, preprocess.RepairReport] = {}
+    return Dataset(manifest=manifest, label_sets=label_sets, config=config,
+                   sequences=ClipSequences(manifest, config, reports),
+                   reports=reports, gt_windows=gt_windows)
 
 
 # ---------------------------------------------------------------------------

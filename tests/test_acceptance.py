@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 from poselang import (bodylang, cli, codebook as cb, core, emotion, metrics,
                       neural, ntraj, pipeline, preprocess, synth)
-from conftest import make_sequence
+from helpers import make_sequence
 from test_neural import make_pool_safe_batch
 
 

@@ -1,10 +1,12 @@
 """End-to-end CLI flow on a tiny workdir, plus error codes."""
 
+import shutil
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poselang import cli, core, pipeline
+from poselang import bodylang, cli, core, ingest, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,21 @@ class TestFlow:
         assert "window accuracy" in result.output
         assert (workdir / "metrics" / "bodylang_ntraj+_test.csv").exists()
 
+    def test_predict_ingests_only_its_split(self, runner, workdir,
+                                            monkeypatch):
+        loaded = []
+        load_sequence = ingest.load_sequence
+
+        def counting(path, frame_rate):
+            loaded.append(path.name)
+            return load_sequence(path, frame_rate)
+
+        monkeypatch.setattr(ingest, "load_sequence", counting)
+        invoke(runner, workdir, "bodylang", "predict", "--split", "test")
+        man = ingest.load_manifest(workdir / "dataset" / "manifest.csv")
+        test_clips = [e.path.split("/")[-1] for e in man.split("test")]
+        assert sorted(loaded) == sorted(test_clips)
+
     def test_stage2_train_and_predict(self, runner, workdir):
         invoke(runner, workdir, "symptom", "train", "--epochs", "3",
                "--source", "gt")
@@ -92,6 +109,94 @@ class TestErrors:
     def test_stage2_without_predictions(self, runner, workdir):
         invoke(runner, workdir, "emotion", "train", "--source", "pred",
                "--epochs", "1", expect=3)
+
+
+@pytest.fixture(scope="module")
+def stage2_workdir(tmp_path_factory, runner):
+    """A stage-2 workdir whose pose clips are deleted after generation."""
+    wd = tmp_path_factory.mktemp("stage2_workdir")
+    invoke(runner, wd, "synth", "gen", "--scenario", "stage2",
+           "--clips-per-split", "3")
+    shutil.rmtree(wd / "dataset" / "clips")
+    return wd
+
+
+class TestStage2WithoutClips:
+    @pytest.mark.parametrize("task", ["emotion", "symptom"])
+    def test_train_and_predict(self, runner, stage2_workdir, task):
+        invoke(runner, stage2_workdir, task, "train", "--epochs", "2")
+        invoke(runner, stage2_workdir, task, "predict")
+        out = stage2_workdir / "predictions" / f"{task}_recurrent_gt_L7_S3.csv"
+        rows = [l for l in out.read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(rows) == 3
+
+    def test_eval_bodylang(self, runner, stage2_workdir):
+        ds = pipeline.load_dataset(
+            stage2_workdir / "dataset" / "manifest.csv", core.PipelineConfig())
+        lines = ["# ground truth as predictions"]
+        for entry in ds.manifest.split("test"):
+            lines.extend(bodylang.prediction_rows(
+                pipeline.gt_sequence(ds, entry.clip_id), ds.label_sets))
+        out = stage2_workdir / "predictions" / "ntraj+"
+        out.mkdir(parents=True)
+        (out / "test.csv").write_text("\n".join(lines) + "\n")
+        result = invoke(runner, stage2_workdir, "eval", "--task", "bodylang")
+        assert "overall 1.000" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ("emotion", "train", "--S", "0", "--epochs", "1"),
+        ("symptom", "predict", "--S", "0"),
+        ("emotion", "train", "--L", "-1", "--epochs", "1"),
+    ])
+    def test_non_positive_histogram_window(self, runner, stage2_workdir,
+                                           args):
+        result = invoke(runner, stage2_workdir, *args, expect=3)
+        assert "must be >= 1" in result.output
+
+
+class TestBadClip:
+    """A malformed keypoint file in a clip a command reads ends the command
+    with exit 3 before it writes anything."""
+
+    @pytest.fixture
+    def bad_workdir(self, runner, tmp_path):
+        (tmp_path / "config.txt").write_text("codebook_size=10\n")
+        invoke(runner, tmp_path, "synth", "gen", "--clips-per-split", "2")
+        return tmp_path
+
+    @staticmethod
+    def corrupt(workdir, clip_id):
+        frame = workdir / "dataset" / "clips" / clip_id / "frame_000003.json"
+        frame.write_text("{not json")
+
+    def test_train_split_clip(self, runner, bad_workdir):
+        man = ingest.load_manifest(bad_workdir / "dataset" / "manifest.csv")
+        self.corrupt(bad_workdir, man.split("train")[0].clip_id)
+        for args, out in ((("preprocess",), "preprocessed"),
+                          (("codebook", "train"), "codebooks"),
+                          (("encoder", "train", "--epochs", "1"), "encoders")):
+            result = invoke(runner, bad_workdir, *args, expect=3)
+            assert "unparseable keypoint document" in result.output
+            assert not (bad_workdir / out).exists()
+
+    def test_exemplar_and_predicted_clips(self, runner, bad_workdir):
+        invoke(runner, bad_workdir, "codebook", "train")
+        invoke(runner, bad_workdir, "exemplars", "build")
+        man = ingest.load_manifest(bad_workdir / "dataset" / "manifest.csv")
+        self.corrupt(bad_workdir, man.split("test")[0].clip_id)
+        result = invoke(runner, bad_workdir, "bodylang", "predict", expect=3)
+        assert "unparseable keypoint document" in result.output
+        assert not (bad_workdir / "predictions").exists()
+
+        exemplars = bad_workdir / "exemplars"
+        rows = bodylang.load_exemplar_manifest(
+            exemplars / "ntraj+" / "exemplars.csv")
+        shutil.rmtree(exemplars)
+        self.corrupt(bad_workdir, rows[0][1])
+        result = invoke(runner, bad_workdir, "exemplars", "build", expect=3)
+        assert "unparseable keypoint document" in result.output
+        assert not exemplars.exists()
 
 
 def test_load_predictions_round_trip(runner, workdir, config):

@@ -46,6 +46,13 @@ class TestHistogramSequence:
         with pytest.raises(core.PoselangError):
             emotion.histogram_sequence(pred, LSETS, 1, 1)
 
+    @pytest.mark.parametrize("hist_len, stride", [(4, 0), (4, -1), (0, 2),
+                                                  (-3, 2)])
+    def test_non_positive_length_or_stride(self, hist_len, stride):
+        pred = _pred([0, 1, 0, 1, 0], [1, 1, 0, 0, 1])
+        with pytest.raises(core.ValidationError, match="must be >= 1"):
+            emotion.histogram_sequence(pred, LSETS, hist_len, stride)
+
 
 def test_net_inputs_normalizes_halves():
     pred = _pred([0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 1, 2])

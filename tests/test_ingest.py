@@ -141,6 +141,13 @@ class TestManifest:
         with pytest.raises(ingest.MixedSchema):
             ingest.load_manifest(path)
 
+    @pytest.mark.parametrize("fps", ["abc", "", "nan", "inf", "0", "-24"])
+    def test_bad_fps_names_the_line(self, tmp_path, fps):
+        path = tmp_path / "manifest.csv"
+        path.write_text(self.LINE + "\n" + f"c001,clips/c001,{fps},test,upper:\n")
+        with pytest.raises(ingest.MalformedFile, match="manifest.csv line 2"):
+            ingest.load_manifest(path)
+
 
 def test_load_window_labels(tmp_path):
     path = tmp_path / "gt.csv"
@@ -148,5 +155,18 @@ def test_load_window_labels(tmp_path):
     rows = ingest.load_window_labels(path)
     assert rows == [("wave", "lean"), ("background", "lean")]
     path.write_text("1,wave,lean\n")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ingest.MalformedFile, match="gt.csv line 1"):
+        ingest.load_window_labels(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0,wave,lean\n1,wave\n", 2),          # short row
+    ("0,wave,lean,extra\n", 1),            # long row
+    ("# w,upper,lower\nx,wave,lean\n", 2),  # non-integer index
+    ("0,wave,lean\n2,wave,lean\n", 2),     # out-of-order index
+])
+def test_malformed_window_labels_name_the_line(tmp_path, text, line):
+    path = tmp_path / "gt.csv"
+    path.write_text(text)
+    with pytest.raises(ingest.MalformedFile, match=f"gt.csv line {line}:"):
         ingest.load_window_labels(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poselang import core, ntraj
-from conftest import make_sequence
+from helpers import make_sequence
 
 
 def test_stream_kind_order():

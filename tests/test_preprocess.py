@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poselang import core, preprocess
-from conftest import make_sequence
+from helpers import make_sequence
 
 
 def _seq_with_validity(xy, valid):
