@@ -11,6 +11,7 @@ from . import codebook as cb
 from . import ntraj, poseimage
 from .core import (LOWER_SUBSET, UPPER_SUBSET, LabelSet, PipelineConfig,
                    PoselangError, joint_subset_view)
+from .ingest import MalformedFile
 
 CHI2_EPS = 1e-10
 
@@ -52,15 +53,17 @@ def ntraj_window_features(seq, track: str, config: PipelineConfig,
     return cb.window_feature(blocks, codebooks, starts, config.window_len, order)
 
 
+def window_images(seq, config: PipelineConfig) -> np.ndarray:
+    """(K, H, W, 2) pose images of a clip's sliding windows, rendered in
+    one batch."""
+    starts = window_starts(seq.n_frames, config.window_len, config.window_stride)
+    windows = seq.xy[starts[:, None] + np.arange(config.window_len)]
+    return poseimage.encode_pose_image(windows, config.pose_image_size)
+
+
 def stconv_window_features(seq, config: PipelineConfig, encoder) -> np.ndarray:
     """(K, D) L2-normalized conv-encoder embeddings of window pose images."""
-    starts = window_starts(seq.n_frames, config.window_len, config.window_stride)
-    images = np.stack([
-        poseimage.encode_pose_image(
-            seq.xy[w0:w0 + config.window_len], config.pose_image_size).values
-        for w0 in starts
-    ])
-    emb = encoder.embed(images)
+    emb = encoder.embed(window_images(seq, config))
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     return emb / np.maximum(norms, 1e-12)
 
@@ -207,18 +210,51 @@ def video_nhot(pred: BodyLanguageSequence, label_sets: dict[str, LabelSet],
 # ---------------------------------------------------------------------------
 # Exemplar manifest and prediction CSV formats
 
-def load_exemplar_manifest(path) -> list[tuple[str, str, int, str]]:
-    """Rows of `set,clip_id,window_start,class`."""
+def load_exemplar_manifest(path, sequences, config: PipelineConfig
+                           ) -> list[tuple[str, str, int, str]]:
+    """Rows of `set,clip_id,window_start,class`.
+
+    Each row must name a clip in `sequences` (clip id -> pose sequence)
+    and the start frame of one of that clip's windows under `config`, and
+    each set needs at least one row.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            track, clip_id, start, cls = (p.strip() for p in line.split(","))
+            where = f"{path}:{lineno}"
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 4:
+                raise MalformedFile(
+                    f"{where}: expected 4 columns set,clip_id,window_start,"
+                    f"class, got {len(parts)}")
+            track, clip_id, start, cls = parts
             if track not in ("upper", "lower"):
-                raise PoselangError(f"bad exemplar set {track!r}")
-            rows.append((track, clip_id, int(start), cls))
+                raise MalformedFile(f"{where}: bad exemplar set {track!r}")
+            try:
+                start = int(start)
+            except ValueError:
+                raise MalformedFile(
+                    f"{where}: window start {start!r} is not an integer"
+                ) from None
+            if clip_id not in sequences:
+                raise MalformedFile(f"{where}: unknown clip {clip_id!r}")
+            if start % config.window_stride:
+                raise MalformedFile(
+                    f"{where}: window start {start} is not a multiple of "
+                    f"window_stride {config.window_stride}")
+            starts = window_starts(sequences[clip_id].n_frames,
+                                   config.window_len, config.window_stride)
+            if not 0 <= start <= starts[-1]:
+                raise MalformedFile(
+                    f"{where}: window start {start} outside clip {clip_id}, "
+                    f"whose windows start at 0..{starts[-1]}")
+            rows.append((track, clip_id, start, cls))
+    for track in ("upper", "lower"):
+        if not any(r[0] == track for r in rows):
+            raise MalformedFile(f"{path}: no rows for the {track} set")
     return rows
 
 

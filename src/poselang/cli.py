@@ -255,7 +255,8 @@ def exemplars_build(ctx, ex_manifest, feature_kind, per_class):
                                     config.window_stride, per_class,
                                     config.seed)
     else:
-        rows = bodylang.load_exemplar_manifest(ex_manifest)
+        rows = bodylang.load_exemplar_manifest(ex_manifest, ds.sequences,
+                                               config)
     codebooks = _load_codebooks(workdir, config) \
         if feature_kind == "ntraj+" else None
     encoders = _load_encoders(workdir, config) \

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import PoselangError
 
@@ -101,21 +102,23 @@ class Conv2D:
         if C != self.c_in:
             raise ShapeMismatch(f"conv input channels {C} != {self.c_in}")
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        cols = np.empty((B, H, Wd, 9 * C))
-        for i in range(3):
-            for j in range(3):
-                cols[..., (i * 3 + j) * C:(i * 3 + j + 1) * C] = \
-                    xp[:, i:i + H, j:j + Wd, :]
-        self._cols = cols.reshape(-1, 9 * C)
+        # Column (i * 3 + j) * C + c holds tap (i, j) of channel c.
+        taps = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B,H,W,C,3,3)
+        self._cols = np.ascontiguousarray(
+            taps.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, 9 * C)
         self._shape = (B, H, Wd, C)
         out = self._cols @ self.W + self.b
         return out.reshape(B, H, Wd, -1)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Set dW and db; return the input gradient, or None when
+        `input_grad` is false."""
         B, H, Wd, C = self._shape
         dflat = dout.reshape(-1, dout.shape[-1])
         self.dW[...] = self._cols.T @ dflat
         self.db[...] = dflat.sum(axis=0)
+        if not input_grad:
+            return None
         dcols = (dflat @ self.W.T).reshape(B, H, Wd, 9 * C)
         dxp = np.zeros((B, H + 2, Wd + 2, C))
         for i in range(3):
@@ -139,7 +142,10 @@ class AvgPool2:
         if H % 2 or W % 2:
             raise ShapeMismatch(f"avgpool needs even spatial dims, got {H}x{W}")
         self._shape = x.shape
-        return x.reshape(B, H // 2, 2, W // 2, 2, C).mean(axis=(2, 4))
+        # Same additions in the same order as mean(axis=(2, 4)) over the
+        # (B, H/2, 2, W/2, 2, C) view, without its strided reduction.
+        return (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+                + x[:, 1::2, 0::2] + x[:, 1::2, 1::2]) / 4.0
 
     def backward(self, dout):
         B, H, W, C = self._shape
@@ -225,10 +231,13 @@ class ConvEncoder(_Net):
         return self.check_finite(h)
 
     def backward(self, dout):
+        """Set every layer's parameter gradients.  The input is data, so
+        the first convolution skips its input gradient and nothing is
+        returned."""
         d = dout
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
-        return d
+        self.layers[0].backward(d, input_grad=False)
 
     def embed(self, x):
         """(B, H, W, C) -> (B, embedding_dim) pooled activations."""
@@ -236,9 +245,6 @@ class ConvEncoder(_Net):
         for layer in self.layers[:-1]:
             h = layer.forward(h)
         return self.check_finite(h)
-
-    def embed_one(self, image):
-        return self.embed(image[None])[0]
 
 
 class LSTMCellStack:

@@ -11,8 +11,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, poseimage, preprocess, synth
-from .core import LabelSet, PipelineConfig, PoseSequence
+from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
+from .core import LabelSet, PipelineConfig, PoselangError, PoseSequence
+
+
+class WindowCountMismatch(PoselangError):
+    pass
+
+
+def _check_window_count(clip_id: str, n_windows: int, n_gt: int) -> None:
+    """A clip's windows pair one-to-one with its ground-truth rows."""
+    if n_windows != n_gt:
+        raise WindowCountMismatch(
+            f"clip {clip_id}: {n_windows} windows but {n_gt} ground-truth "
+            f"window labels (window_len/window_stride differ from the "
+            f"dataset's?)")
 
 
 class ClipSequences(Mapping):
@@ -127,16 +140,6 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
 # ---------------------------------------------------------------------------
 # Encoder training on frame-labeled training windows
 
-def _window_images(seq: PoseSequence, config: PipelineConfig) -> np.ndarray:
-    starts = bodylang.window_starts(seq.n_frames, config.window_len,
-                                    config.window_stride)
-    return np.stack([
-        poseimage.encode_pose_image(
-            seq.xy[w0:w0 + config.window_len], config.pose_image_size).values
-        for w0 in starts
-    ])
-
-
 def encoder_training_set(ds: Dataset, track: str,
                          clip_ids=None) -> tuple[np.ndarray, np.ndarray]:
     """Pose images and class ids for every ground-truth-labeled training
@@ -150,10 +153,10 @@ def encoder_training_set(ds: Dataset, track: str,
         gt = ds.gt_windows.get(clip_id)
         if not gt:
             continue
-        imgs = _window_images(ds.sequences[clip_id], ds.config)
-        n = min(len(imgs), len(gt))
-        images.append(imgs[:n])
-        labels.extend(lset.index(gt[w][track_idx]) for w in range(n))
+        imgs = bodylang.window_images(ds.sequences[clip_id], ds.config)
+        _check_window_count(clip_id, len(imgs), len(gt))
+        images.append(imgs)
+        labels.extend(lset.index(g[track_idx]) for g in gt)
     return np.concatenate(images), np.array(labels, dtype=int)
 
 
@@ -176,9 +179,6 @@ class _ScaledEncoder:
 
     def embed(self, images):
         return self.net.embed(np.asarray(images) / 127.5 - 1.0)
-
-    def embed_one(self, image):
-        return self.embed(image[None])[0]
 
     @property
     def inner(self):
@@ -244,12 +244,12 @@ def window_accuracy(ds: Dataset, preds) -> dict[str, float]:
         if not gt:
             continue
         for track, ids in (("upper", pred.upper), ("lower", pred.lower)):
+            _check_window_count(clip_id, len(ids), len(gt))
             lset = ds.label_sets[track]
-            names = [lset.names[c] for c in ids]
-            k = min(len(names), len(gt))
             idx = 0 if track == "upper" else 1
-            correct[track] += sum(names[w] == gt[w][idx] for w in range(k))
-        total += min(len(gt), pred.n_windows)
+            correct[track] += sum(lset.names[c] == g[idx]
+                                  for c, g in zip(ids, gt))
+        total += len(gt)
     if total == 0:
         return {"upper": float("nan"), "lower": float("nan"), "overall": float("nan")}
     out = {track: correct[track] / total for track in correct}

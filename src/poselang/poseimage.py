@@ -1,9 +1,7 @@
 """Pose images: a window of poses as a time-by-joint matrix, min-max scaled
-to [0, 255] and resized, then embedded with a convolutional encoder."""
+to [0, 255] and resized, for the convolutional encoder to embed."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,32 +30,14 @@ class ShapeMismatch(PoselangError):
     pass
 
 
-def chain_order() -> tuple[int, ...]:
-    return CHAIN_ORDER
-
-
-@dataclass
-class PoseImage:
-    """Resized 2-channel (x, y) matrix with values in [0, 255]."""
-
-    values: np.ndarray  # (H, W, 2)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
 def bilinear_resize(mat: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
-    """Align-corners bilinear resize of a 2D matrix.
+    """Align-corners bilinear resize of the last two axes of `mat`,
+    broadcast over any leading axes.
 
     With matching input and output sizes the sample grid lands exactly on
     the source grid, so the resize is the identity.
     """
-    h, w = mat.shape
+    h, w = mat.shape[-2:]
     H, W = out_hw
 
     def grid(n_in, n_out):
@@ -72,52 +52,44 @@ def bilinear_resize(mat: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    top = mat[np.ix_(y0, x0)] * (1 - fx) + mat[np.ix_(y0, x1)] * fx
-    bot = mat[np.ix_(y1, x0)] * (1 - fx) + mat[np.ix_(y1, x1)] * fx
+    rows0, rows1 = mat[..., y0, :], mat[..., y1, :]
+    top = rows0[..., x0] * (1 - fx) + rows0[..., x1] * fx
+    bot = rows1[..., x0] * (1 - fx) + rows1[..., x1] * fx
     return top * (1 - fy) + bot * fy
 
 
-def encode_pose_image(window_xy: np.ndarray,
-                      out_size: tuple[int, int]) -> PoseImage:
-    """Encode a window of preprocessed poses as a pose image.
+def encode_pose_image(windows_xy: np.ndarray,
+                      out_size: tuple[int, int]) -> np.ndarray:
+    """Encode a stack of windows of preprocessed poses as pose images.
 
-    window_xy is (frames, 18, 2).  Rows are frames; columns follow
-    CHAIN_ORDER.  Each channel is min-max mapped to [0, 255] per image
-    (a constant channel maps to 127.5) and bilinearly resized.
+    windows_xy is (n, frames, 18, 2); the result is (n, H, W, 2).  Rows
+    are frames; columns follow CHAIN_ORDER.  Each channel of each image is
+    min-max mapped to [0, 255] (a constant channel maps to 127.5) and
+    bilinearly resized.
     """
-    window_xy = np.asarray(window_xy, dtype=np.float64)
-    if window_xy.ndim != 3 or window_xy.shape[0] == 0:
-        raise EmptyWindow("window must hold at least one (18, 2) pose")
-    if window_xy.shape[1:] != (core.N_JOINTS, 2):
-        raise ShapeMismatch(f"window shape {window_xy.shape}")
+    windows_xy = np.asarray(windows_xy, dtype=np.float64)
+    if windows_xy.ndim != 4 or windows_xy.shape[2:] != (core.N_JOINTS, 2):
+        raise ShapeMismatch(f"windows shape {windows_xy.shape}")
+    if windows_xy.shape[1] == 0:
+        raise EmptyWindow("each window must hold at least one (18, 2) pose")
 
-    chained = window_xy[:, CHAIN_ORDER, :]  # (frames, 18, 2)
-    channels = []
-    for c in range(2):
-        mat = chained[:, :, c]
-        lo, hi = mat.min(), mat.max()
-        if hi - lo < 1e-12:
-            scaled = np.full_like(mat, 127.5)
-        else:
-            scaled = (mat - lo) * (255.0 / (hi - lo))
-        channels.append(bilinear_resize(scaled, out_size))
-    values = np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
-    return PoseImage(values=values)
+    # (n, 2, frames, 18): one matrix per image and channel.
+    chained = windows_xy[:, :, CHAIN_ORDER, :].transpose(0, 3, 1, 2)
+    lo = chained.min(axis=(2, 3), keepdims=True)
+    hi = chained.max(axis=(2, 3), keepdims=True)
+    flat = hi - lo < 1e-12
+    scale = 255.0 / np.where(flat, 1.0, hi - lo)
+    scaled = np.where(flat, 127.5, (chained - lo) * scale)
+    values = bilinear_resize(scaled, out_size).transpose(0, 2, 3, 1)
+    # A fresh C-ordered output, not the transposed layout of `values`.
+    return np.clip(values, 0.0, 255.0, out=np.empty(values.shape))
 
 
-def embed(image: PoseImage, encoder) -> np.ndarray:
-    """L2-normalized penultimate-layer embedding of a pose image."""
-    vec = encoder.embed_one(image.values)
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return vec
-    return vec / norm
-
-
-def save_pgm(image: PoseImage, path_prefix) -> None:
-    """Dump each channel as an 8-bit PGM for eyeballing."""
+def save_pgm(image: np.ndarray, path_prefix) -> None:
+    """Dump each channel of an (H, W, 2) pose image as an 8-bit PGM for
+    eyeballing."""
     for c, name in enumerate(("x", "y")):
-        mat = np.round(image.values[:, :, c]).astype(np.uint8)
+        mat = np.round(image[:, :, c]).astype(np.uint8)
         header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
         with open(f"{path_prefix}_{name}.pgm", "wb") as fh:
             fh.write(header + mat.tobytes())

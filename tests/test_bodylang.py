@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import make_sequence
 from poselang import bodylang, core
 
 
@@ -95,18 +96,50 @@ class TestVideoNhot:
 
 
 class TestManifests:
+    # 24 frames: windows of 6 frames start at 0, 3, ..., 18.
+    SEQS = {c: make_sequence(np.random.default_rng(0), n_frames=24)
+            for c in ("clip", "clip001", "clip002")}
+
     def test_exemplar_round_trip(self, tmp_path):
         rows = [("upper", "clip001", 12, "wave"),
-                ("lower", "clip002", 0, "lean")]
+                ("lower", "clip002", 0, "lean"),
+                ("lower", "clip002", 18, "lean")]
         path = tmp_path / "ex.csv"
         bodylang.save_exemplar_manifest(rows, path)
-        assert bodylang.load_exemplar_manifest(path) == rows
+        assert bodylang.load_exemplar_manifest(
+            path, self.SEQS, core.PipelineConfig()) == rows
+
+    def test_every_set_needs_a_row(self, tmp_path):
+        path = tmp_path / "ex.csv"
+        path.write_text("upper,clip,0,wave\n")
+        with pytest.raises(core.PoselangError, match="no rows for the lower"):
+            bodylang.load_exemplar_manifest(path, self.SEQS,
+                                            core.PipelineConfig())
 
     def test_bad_track(self, tmp_path):
         path = tmp_path / "ex.csv"
         path.write_text("middle,clip,0,wave\n")
         with pytest.raises(core.PoselangError):
-            bodylang.load_exemplar_manifest(path)
+            bodylang.load_exemplar_manifest(path, self.SEQS,
+                                            core.PipelineConfig())
+
+    @pytest.mark.parametrize("row,message", [
+        ("upper,nope,0,wave", "unknown clip 'nope'"),
+        ("upper,clip,21,wave", "window start 21 outside clip clip"),
+        ("upper,clip,-3,wave", "window start -3 outside clip clip"),
+        ("upper,clip,x3,wave", "window start 'x3' is not an integer"),
+        ("upper,clip,0", "expected 4 columns"),
+        ("upper,clip,4,wave", "not a multiple of window_stride 3"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "ex.csv"
+        path.write_text(f"# set,clip,start,class\nupper,clip,3,wave\n{row}\n"
+                        "lower,clip,0,lean\n")
+        with pytest.raises(core.PoselangError) as err:
+            bodylang.load_exemplar_manifest(path, self.SEQS,
+                                            core.PipelineConfig())
+        assert f"{path}:3: " in str(err.value)
+        assert message in str(err.value)
 
 
 def test_prediction_rows_format():
@@ -130,3 +163,21 @@ def test_build_store_maps_names():
         np.zeros((2, 3)), ["b", "background"], [("c0", 0), ("c0", 1)])
     assert np.array_equal(store.labels, [1, 2])
     assert store.provenance == [("c0", 0), ("c0", 1)]
+
+
+class _StubEncoder:
+    def embed(self, images):
+        assert images.shape == (7, 32, 32, 2)
+        emb = np.tile([3.0, 4.0], (len(images), 1))
+        emb[1] = 0.0
+        return emb
+
+
+def test_stconv_features_l2_normalized():
+    seq = make_sequence(np.random.default_rng(1), n_frames=24)
+    feats = bodylang.stconv_window_features(seq, core.PipelineConfig(),
+                                            _StubEncoder())
+    assert np.allclose(feats[0], [0.6, 0.8])
+    assert np.allclose(np.linalg.norm(np.delete(feats, 1, axis=0), axis=1),
+                       1.0)
+    assert np.all(feats[1] == 0.0)  # a zero embedding stays zero

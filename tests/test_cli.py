@@ -190,13 +190,108 @@ class TestBadClip:
         assert not (bad_workdir / "predictions").exists()
 
         exemplars = bad_workdir / "exemplars"
-        rows = bodylang.load_exemplar_manifest(
-            exemplars / "ntraj+" / "exemplars.csv")
+        first_row = (exemplars / "ntraj+" / "exemplars.csv").read_text()
         shutil.rmtree(exemplars)
-        self.corrupt(bad_workdir, rows[0][1])
+        self.corrupt(bad_workdir, first_row.split(",")[1])
         result = invoke(runner, bad_workdir, "exemplars", "build", expect=3)
         assert "unparseable keypoint document" in result.output
         assert not exemplars.exists()
+
+
+@pytest.fixture(scope="module")
+def small_workdir(tmp_path_factory, runner):
+    """One clip per split; commands that fail here write nothing."""
+    wd = tmp_path_factory.mktemp("small_workdir")
+    invoke(runner, wd, "synth", "gen", "--clips-per-split", "1")
+    return wd
+
+
+class TestExemplarManifest:
+    """A hand-written exemplar manifest is checked row by row against the
+    dataset before anything is built."""
+
+    @pytest.mark.parametrize("row,message", [
+        ("upper,no_such_clip,0,{cls}", "unknown clip 'no_such_clip'"),
+        ("upper,{clip},33333,{cls}", "window start 33333 outside clip"),
+        ("upper,{clip},3.5,{cls}", "window start '3.5' is not an integer"),
+        ("upper,{clip},3", "expected 4 columns"),
+        ("upper,{clip},4,{cls}", "not a multiple of window_stride 3"),
+    ])
+    def test_bad_row(self, runner, small_workdir, row, message):
+        ds = pipeline.load_dataset(
+            small_workdir / "dataset" / "manifest.csv", core.PipelineConfig())
+        clip = ds.manifest.split("train")[0].clip_id
+        cls = ds.label_sets["upper"].names[0]
+        path = small_workdir / "rows.csv"
+        path.write_text(f"upper,{clip},0,{cls}\n"
+                        + row.format(clip=clip, cls=cls) + "\n")
+        result = invoke(runner, small_workdir, "exemplars", "build",
+                        "--manifest", str(path), expect=3)
+        assert f"{path}:2: " in result.output
+        assert message in result.output
+        assert not (small_workdir / "exemplars").exists()
+
+    def test_set_without_rows(self, runner, small_workdir):
+        path = small_workdir / "rows.csv"
+        path.write_text("# set,clip_id,window_start,class\n")
+        result = invoke(runner, small_workdir, "exemplars", "build",
+                        "--manifest", str(path), expect=3)
+        assert f"{path}: no rows for the upper set" in result.output
+        assert not (small_workdir / "exemplars").exists()
+
+
+class TestWindowCountMismatch:
+    """A window_stride other than the dataset's gives each clip more
+    windows than ground-truth rows; nothing truncates them silently."""
+
+    @pytest.fixture
+    def restrided(self, small_workdir):
+        config = small_workdir / "config.txt"
+        config.write_text("window_stride=2\n")  # 34 windows, 23 labels
+        yield small_workdir
+        config.unlink()
+
+    def test_encoder_train(self, runner, restrided):
+        result = invoke(runner, restrided, "encoder", "train", "--epochs",
+                        "1", expect=3)
+        assert "34 windows but 23 ground-truth window labels" in result.output
+        assert not (restrided / "encoders").exists()
+
+    def test_eval(self, runner, restrided):
+        ds = pipeline.load_dataset(restrided / "dataset" / "manifest.csv",
+                                   core.PipelineConfig())
+        clip = ds.manifest.split("test")[0].clip_id
+        zeros = np.zeros(34, dtype=int)
+        pred = bodylang.BodyLanguageSequence(
+            clip_id=clip, upper=zeros, lower=zeros, upper_conf=zeros + 1.0,
+            lower_conf=zeros + 1.0, window_len=6, stride=2)
+        out = restrided / "predictions" / "ntraj+"
+        out.mkdir(parents=True)
+        (out / "test.csv").write_text(
+            "\n".join(bodylang.prediction_rows(pred, ds.label_sets)) + "\n")
+        result = invoke(runner, restrided, "eval", "--task", "bodylang",
+                        expect=3)
+        assert (f"clip {clip}: 34 windows but 23 ground-truth window labels"
+                in result.output)
+        shutil.rmtree(restrided / "predictions")
+
+
+def test_stconv_artifacts_are_deterministic(runner, tmp_path):
+    (tmp_path / "config.txt").write_text("codebook_size=10\n")
+    invoke(runner, tmp_path, "synth", "gen", "--clips-per-split", "2")
+    dirs = ("encoders", "exemplars", "predictions")
+    runs = []
+    for _ in range(2):
+        invoke(runner, tmp_path, "encoder", "train", "--epochs", "2")
+        invoke(runner, tmp_path, "exemplars", "build", "--feature", "stconv")
+        invoke(runner, tmp_path, "bodylang", "predict", "--feature", "stconv")
+        runs.append({p.relative_to(tmp_path): p.read_bytes()
+                     for d in dirs for p in sorted((tmp_path / d).rglob("*"))
+                     if p.is_file()})
+        for d in dirs:
+            shutil.rmtree(tmp_path / d)
+    assert len(runs[0]) == 6  # 2 encoders, 3 exemplar files, 1 prediction
+    assert runs[0] == runs[1]
 
 
 def test_load_predictions_round_trip(runner, workdir, config):

@@ -1,4 +1,4 @@
-"""Pose images and their conv-encoder embeddings."""
+"""Pose-image rendering and resizing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from poselang import core, poseimage
 
 
 def test_chain_order_is_a_permutation():
-    order = poseimage.chain_order()
+    order = poseimage.CHAIN_ORDER
     assert sorted(order) == list(range(core.N_JOINTS))
     assert order[0] == core.NOSE
     assert order[7] == core.NECK
@@ -40,68 +40,103 @@ class TestBilinearResize:
 class TestEncodePoseImage:
     def test_range_and_shape(self):
         rng = np.random.default_rng(1)
-        window = rng.normal(0.0, 50.0, size=(6, core.N_JOINTS, 2))
-        img = poseimage.encode_pose_image(window, (32, 32))
-        assert img.values.shape == (32, 32, 2)
-        assert img.height == 32 and img.width == 32
-        assert img.values.min() >= 0.0
-        assert img.values.max() <= 255.0
+        windows = rng.normal(0.0, 50.0, size=(3, 6, core.N_JOINTS, 2))
+        images = poseimage.encode_pose_image(windows, (32, 32))
+        assert images.shape == (3, 32, 32, 2)
+        assert images.min() >= 0.0
+        assert images.max() <= 255.0
 
     def test_min_max_endpoints_without_resize(self):
         rng = np.random.default_rng(2)
-        window = rng.normal(size=(6, core.N_JOINTS, 2))
-        img = poseimage.encode_pose_image(window, (6, core.N_JOINTS))
-        for c in range(2):
-            assert img.values[:, :, c].min() == pytest.approx(0.0, abs=1e-9)
-            assert img.values[:, :, c].max() == pytest.approx(255.0, abs=1e-9)
+        windows = rng.normal(size=(2, 6, core.N_JOINTS, 2))
+        images = poseimage.encode_pose_image(windows, (6, core.N_JOINTS))
+        for img in images:
+            for c in range(2):
+                assert img[:, :, c].min() == pytest.approx(0.0, abs=1e-9)
+                assert img[:, :, c].max() == pytest.approx(255.0, abs=1e-9)
 
     def test_constant_channel_maps_to_mid_gray(self):
         window = np.zeros((5, core.N_JOINTS, 2))
         window[:, :, 1] = np.random.default_rng(3).normal(
             size=(5, core.N_JOINTS))
-        img = poseimage.encode_pose_image(window, (8, 8))
-        assert np.allclose(img.values[:, :, 0], 127.5)
+        img = poseimage.encode_pose_image(window[None], (8, 8))[0]
+        assert np.allclose(img[:, :, 0], 127.5)
 
     def test_columns_follow_chain_order(self):
         window = np.zeros((4, core.N_JOINTS, 2))
         window[:, core.NECK, 0] = 100.0  # brightest x column
-        img = poseimage.encode_pose_image(window, (4, core.N_JOINTS))
+        img = poseimage.encode_pose_image(window[None],
+                                          (4, core.N_JOINTS))[0]
         col = poseimage.CHAIN_ORDER.index(core.NECK)
-        assert np.allclose(img.values[:, col, 0], 255.0)
+        assert np.allclose(img[:, col, 0], 255.0)
 
     def test_errors(self):
         with pytest.raises(poseimage.EmptyWindow):
-            poseimage.encode_pose_image(np.zeros((0, core.N_JOINTS, 2)), (8, 8))
+            poseimage.encode_pose_image(np.zeros((1, 0, core.N_JOINTS, 2)),
+                                        (8, 8))
         with pytest.raises(poseimage.ShapeMismatch):
-            poseimage.encode_pose_image(np.zeros((3, 5, 2)), (8, 8))
+            poseimage.encode_pose_image(np.zeros((1, 3, 5, 2)), (8, 8))
+        with pytest.raises(poseimage.ShapeMismatch):
+            poseimage.encode_pose_image(np.zeros((3, core.N_JOINTS, 2)),
+                                        (8, 8))
 
 
-class _StubEncoder:
-    def embed_one(self, values):
-        return np.array([3.0, 4.0])
+def _resize_reference(mat, out_hw):
+    """The one-matrix bilinear resize the batched one replaced."""
+    h, w = mat.shape
+    H, W = out_hw
+
+    def grid(n_in, n_out):
+        if n_out == 1 or n_in == 1:
+            return np.zeros(n_out)
+        return np.arange(n_out) * (n_in - 1) / (n_out - 1)
+
+    ys, xs = grid(h, H), grid(w, W)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    top = mat[np.ix_(y0, x0)] * (1 - fx) + mat[np.ix_(y0, x1)] * fx
+    bot = mat[np.ix_(y1, x0)] * (1 - fx) + mat[np.ix_(y1, x1)] * fx
+    return top * (1 - fy) + bot * fy
 
 
-def test_embed_l2_normalized():
-    img = poseimage.PoseImage(values=np.zeros((4, 4, 2)))
-    vec = poseimage.embed(img, _StubEncoder())
-    assert np.allclose(vec, [0.6, 0.8])
-    assert np.linalg.norm(vec) == pytest.approx(1.0)
+def _render_reference(window_xy, out_size):
+    """One window at a time, as pose images were rendered before they were
+    batched."""
+    chained = window_xy[:, poseimage.CHAIN_ORDER, :]
+    channels = []
+    for c in range(2):
+        mat = chained[:, :, c]
+        lo, hi = mat.min(), mat.max()
+        if hi - lo < 1e-12:
+            scaled = np.full_like(mat, 127.5)
+        else:
+            scaled = (mat - lo) * (255.0 / (hi - lo))
+        channels.append(_resize_reference(scaled, out_size))
+    return np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
 
 
-class _ZeroEncoder:
-    def embed_one(self, values):
-        return np.zeros(3)
-
-
-def test_embed_zero_vector_passthrough():
-    img = poseimage.PoseImage(values=np.zeros((4, 4, 2)))
-    assert np.all(poseimage.embed(img, _ZeroEncoder()) == 0.0)
+@pytest.mark.parametrize("frames,out_size", [
+    (6, (32, 32)), (6, (6, core.N_JOINTS)), (1, (32, 32)), (9, (5, 7))])
+def test_batch_matches_per_window_rendering(frames, out_size):
+    rng = np.random.default_rng(frames)
+    windows = rng.normal(0.0, 40.0, size=(5, frames, core.N_JOINTS, 2))
+    windows[1, :, :, 0] = 3.25          # constant x channel
+    windows[2] = -7.0                   # both channels constant
+    windows[3] *= 1e-9                  # tiny spread
+    images = poseimage.encode_pose_image(windows, out_size)
+    assert images.shape == (5,) + tuple(out_size) + (2,)
+    for window, image in zip(windows, images):
+        assert np.array_equal(image, _render_reference(window, out_size))
 
 
 def test_save_pgm(tmp_path):
     values = np.zeros((2, 3, 2))
     values[:, :, 0] = 255.0
-    poseimage.save_pgm(poseimage.PoseImage(values=values), tmp_path / "img")
+    poseimage.save_pgm(values, tmp_path / "img")
     x = (tmp_path / "img_x.pgm").read_bytes()
     y = (tmp_path / "img_y.pgm").read_bytes()
     assert x.startswith(b"P5\n3 2\n255\n")
