@@ -2,13 +2,12 @@
 psychiatric-symptom interpretation."""
 
 from .core import (JointSubset, LabelSet, PipelineConfig, PoseSequence,
-                   PoselangError, LOWER_SUBSET, UPPER_SUBSET,
-                   joint_subset_view, load_label_sets)
+                   PoselangError, LOWER_SUBSET, UPPER_SUBSET, load_label_sets)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "JointSubset", "LabelSet", "PipelineConfig", "PoseSequence",
-    "PoselangError", "LOWER_SUBSET", "UPPER_SUBSET", "joint_subset_view",
-    "load_label_sets", "__version__",
+    "PoselangError", "LOWER_SUBSET", "UPPER_SUBSET", "load_label_sets",
+    "__version__",
 ]

@@ -9,18 +9,14 @@ import numpy as np
 
 from . import codebook as cb
 from . import ntraj, poseimage
-from .core import (LOWER_SUBSET, UPPER_SUBSET, LabelSet, PipelineConfig,
-                   PoselangError, joint_subset_view)
+from .core import (LOWER_SUBSET, TRACKS, UPPER_SUBSET, LabelSet,
+                   PipelineConfig, PoselangError, data_lines)
 from .ingest import MalformedFile
 
 CHI2_EPS = 1e-10
 
 FEATURE_NTRAJ_PLUS = "ntraj+"
 FEATURE_STCONV = "stconv"
-
-
-class SequenceTooShort(PoselangError):
-    pass
 
 
 class KindMismatch(PoselangError):
@@ -34,7 +30,8 @@ class EmptyStore(PoselangError):
 def window_starts(n_frames: int, window_len: int, stride: int) -> np.ndarray:
     """Start frames 0, stride, 2*stride, ... with the window fully inside."""
     if n_frames < window_len:
-        raise SequenceTooShort(f"{n_frames} frames < window {window_len}")
+        raise ntraj.SequenceTooShort(
+            f"{n_frames} frames < window {window_len}")
     k = (n_frames - window_len) // stride + 1
     return np.arange(k) * stride
 
@@ -55,10 +52,11 @@ def ntraj_window_features(seq, track: str, config: PipelineConfig,
 
 def window_images(seq, config: PipelineConfig) -> np.ndarray:
     """(K, H, W, 2) pose images of a clip's sliding windows, rendered in
-    one batch."""
+    one batch and mapped from [0, 255] to the encoder's [-1, 1] input."""
     starts = window_starts(seq.n_frames, config.window_len, config.window_stride)
     windows = seq.xy[starts[:, None] + np.arange(config.window_len)]
-    return poseimage.encode_pose_image(windows, config.pose_image_size)
+    return poseimage.encode_pose_image(
+        windows, config.pose_image_size) / 127.5 - 1.0
 
 
 def stconv_window_features(seq, config: PipelineConfig, encoder) -> np.ndarray:
@@ -154,8 +152,6 @@ class BodyLanguageSequence:
     lower: np.ndarray
     upper_conf: np.ndarray
     lower_conf: np.ndarray
-    window_len: int
-    stride: int
 
     @property
     def n_windows(self) -> int:
@@ -170,24 +166,18 @@ def predict_sequence(seq, stores: dict[str, ExemplarStore],
     `codebooks` and `encoders` are per-track dicts; only the one matching
     each store's feature kind is consulted.
     """
-    tracks = {}
-    confs = {}
-    for track in ("upper", "lower"):
+    out = {}
+    for track in TRACKS:
         store = stores[track]
         feats = window_features(
             seq, store.feature_kind, track, config,
             codebooks=(codebooks or {}).get(track),
             encoder=(encoders or {}).get(track))
-        ids = np.empty(len(feats), dtype=int)
-        cc = np.empty(len(feats))
+        ids = out[track] = np.empty(len(feats), dtype=int)
+        confs = out[f"{track}_conf"] = np.empty(len(feats))
         for w, f in enumerate(feats):
-            ids[w], cc[w] = knn_classify(f, store, config.knn_k)
-        tracks[track] = ids
-        confs[track] = cc
-    return BodyLanguageSequence(
-        clip_id=seq.source_id, upper=tracks["upper"], lower=tracks["lower"],
-        upper_conf=confs["upper"], lower_conf=confs["lower"],
-        window_len=config.window_len, stride=config.window_stride)
+            ids[w], confs[w] = knn_classify(f, store, config.knn_k)
+    return BodyLanguageSequence(clip_id=seq.source_id, **out)
 
 
 def video_nhot(pred: BodyLanguageSequence, label_sets: dict[str, LabelSet],
@@ -208,50 +198,47 @@ def video_nhot(pred: BodyLanguageSequence, label_sets: dict[str, LabelSet],
 
 
 # ---------------------------------------------------------------------------
-# Exemplar manifest and prediction CSV formats
+# Exemplar manifest
 
-def load_exemplar_manifest(path, sequences, config: PipelineConfig
+def load_exemplar_manifest(path, sequences, config: PipelineConfig,
+                           label_sets: dict[str, LabelSet]
                            ) -> list[tuple[str, str, int, str]]:
     """Rows of `set,clip_id,window_start,class`.
 
-    Each row must name a clip in `sequences` (clip id -> pose sequence)
-    and the start frame of one of that clip's windows under `config`, and
-    each set needs at least one row.
+    Each row must name a clip in `sequences` (clip id -> pose sequence),
+    the start frame of one of that clip's windows under `config` and a
+    class of its set's label set, and each set needs at least one row.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise MalformedFile(
-                    f"{where}: expected 4 columns set,clip_id,window_start,"
-                    f"class, got {len(parts)}")
-            track, clip_id, start, cls = parts
-            if track not in ("upper", "lower"):
-                raise MalformedFile(f"{where}: bad exemplar set {track!r}")
-            try:
-                start = int(start)
-            except ValueError:
-                raise MalformedFile(
-                    f"{where}: window start {start!r} is not an integer"
-                ) from None
-            if clip_id not in sequences:
-                raise MalformedFile(f"{where}: unknown clip {clip_id!r}")
-            if start % config.window_stride:
-                raise MalformedFile(
-                    f"{where}: window start {start} is not a multiple of "
-                    f"window_stride {config.window_stride}")
-            starts = window_starts(sequences[clip_id].n_frames,
-                                   config.window_len, config.window_stride)
-            if not 0 <= start <= starts[-1]:
-                raise MalformedFile(
-                    f"{where}: window start {start} outside clip {clip_id}, "
-                    f"whose windows start at 0..{starts[-1]}")
-            rows.append((track, clip_id, start, cls))
+    for lineno, line in data_lines(path):
+        where = f"{path}:{lineno}"
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise MalformedFile(f"{where}: expected 4 columns set,clip_id,"
+                                f"window_start,class, got {len(parts)}")
+        track, clip_id, start, cls = parts
+        if track not in ("upper", "lower"):
+            raise MalformedFile(f"{where}: bad exemplar set {track!r}")
+        if cls not in label_sets[track].names:
+            raise MalformedFile(f"{where}: unknown {track} class {cls!r}")
+        try:
+            start = int(start)
+        except ValueError:
+            raise MalformedFile(f"{where}: window start {start!r} is not an "
+                                "integer") from None
+        if clip_id not in sequences:
+            raise MalformedFile(f"{where}: unknown clip {clip_id!r}")
+        if start % config.window_stride:
+            raise MalformedFile(
+                f"{where}: window start {start} is not a multiple of "
+                f"window_stride {config.window_stride}")
+        starts = window_starts(sequences[clip_id].n_frames, config.window_len,
+                               config.window_stride)
+        if not 0 <= start <= starts[-1]:
+            raise MalformedFile(
+                f"{where}: window start {start} outside clip {clip_id}, "
+                f"whose windows start at 0..{starts[-1]}")
+        rows.append((track, clip_id, start, cls))
     for track in ("upper", "lower"):
         if not any(r[0] == track for r in rows):
             raise MalformedFile(f"{path}: no rows for the {track} set")
@@ -271,13 +258,3 @@ def build_store(track: str, feature_kind: str, label_set: LabelSet,
     return ExemplarStore(track=track, feature_kind=feature_kind,
                          features=features, labels=labels,
                          label_set=label_set, provenance=provenance)
-
-
-def prediction_rows(pred: BodyLanguageSequence,
-                    label_sets: dict[str, LabelSet]):
-    """CSV rows `clip_id,track,window_index,class,confidence`."""
-    for track, ids, confs in (("upper", pred.upper, pred.upper_conf),
-                              ("lower", pred.lower, pred.lower_conf)):
-        names = label_sets[track].names
-        for w, (cid, conf) in enumerate(zip(ids, confs)):
-            yield f"{pred.clip_id},{track},{w},{names[cid]},{conf:.6f}"

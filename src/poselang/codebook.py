@@ -3,14 +3,13 @@ histograms."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .core import PoselangError
-from .ntraj import DescriptorBlock, stream_kinds
+from .ntraj import DescriptorBlock
 
 MAX_KMEANS_ITERS = 100
 
@@ -106,20 +105,14 @@ def _lloyd(unique, counts, n_clusters, rng):
     return centroids, float(d2 @ weights)
 
 
-def quantize(descriptor: np.ndarray, codebook: Codebook) -> int:
-    """Index of the nearest centroid; ties resolve to the lowest index."""
-    descriptor = np.asarray(descriptor, dtype=np.float64)
-    if descriptor.shape != codebook.centroids.shape[1:]:
-        raise DimensionMismatch(
-            f"descriptor {descriptor.shape} vs centroids "
-            f"{codebook.centroids.shape[1:]}")
-    d2 = np.square(codebook.centroids - descriptor).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def quantize_batch(descriptors: np.ndarray, codebook: Codebook) -> np.ndarray:
-    labels, _ = _assign(np.asarray(descriptors, dtype=np.float64),
-                        codebook.centroids)
+    """Index of each row's nearest centroid; ties resolve to the lowest
+    index."""
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    if descriptors.shape[1:] != codebook.centroids.shape[1:]:
+        raise DimensionMismatch(f"descriptors {descriptors.shape} vs "
+                                f"centroids {codebook.centroids.shape}")
+    labels, _ = _assign(descriptors, codebook.centroids)
     return labels
 
 
@@ -159,39 +152,23 @@ def window_feature(blocks: dict[str, DescriptorBlock],
 
 
 # ---------------------------------------------------------------------------
-# Artifact I/O: JSON header line + little-endian float64 centroid matrix.
+# Artifact: the header names the stream kind and shape, the payload holds
+# the centroids.
 
 MAGIC = "POSELANG-CODEBOOK-1"
 
 
 def save_codebook(cb: Codebook, path, config_hash: str = "") -> None:
-    header = {
+    artifacts.write(path, {
         "magic": MAGIC, "kind": cb.stream_kind, "n": int(cb.size),
         "t": int(cb.centroids.shape[1]), "seed": int(cb.seed),
         "inertia": cb.inertia, "config_hash": config_hash,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(cb.centroids, dtype="<f8").tobytes())
+    }, cb.centroids)
 
 
 def load_codebook(path, expect_config_hash: str | None = None) -> Codebook:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != MAGIC:
-            raise PoselangError(f"{path}: not a codebook artifact")
-        if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
-            raise PoselangError(
-                f"{path}: config hash {header['config_hash']} != "
-                f"{expect_config_hash}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    centroids = raw.reshape(header["n"], header["t"]).copy()
-    return Codebook(stream_kind=header["kind"], centroids=centroids,
-                    inertia=header["inertia"], seed=header["seed"])
-
-
-__all__ = [
-    "Codebook", "kmeans_restarts", "quantize", "quantize_batch",
-    "window_feature", "save_codebook", "load_codebook", "stream_kinds",
-    "TooFewPoints", "DimensionMismatch", "MissingCodebook",
-]
+    header, flat = artifacts.read(path, MAGIC, expect_config_hash)
+    with artifacts.fields_of(path):
+        return Codebook(stream_kind=header["kind"],
+                        centroids=flat.reshape(header["n"], header["t"]).copy(),
+                        inertia=header["inertia"], seed=header["seed"])

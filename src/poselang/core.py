@@ -1,9 +1,9 @@
-"""Shared domain types: joints, pose sequences, label sets, configuration."""
+"""Shared domain types: joint layout, sequences, label sets, configuration."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,20 +29,17 @@ L_EYE = 15
 R_EAR = 16
 L_EAR = 17
 
-JOINT_NAMES = [
-    "nose", "neck",
-    "r_shoulder", "r_elbow", "r_wrist",
-    "l_shoulder", "l_elbow", "l_wrist",
-    "r_hip", "r_knee", "r_ankle",
-    "l_hip", "l_knee", "l_ankle",
-    "r_eye", "l_eye", "r_ear", "l_ear",
-]
-
 # Torso and both legs: used for lower-body recognition.
 LOWER_JOINTS = (NECK, R_HIP, R_KNEE, R_ANKLE, L_HIP, L_KNEE, L_ANKLE)
 # Arms and head; the neck is shared with the lower set as the torso anchor.
 UPPER_JOINTS = (NOSE, NECK, R_SHOULDER, R_ELBOW, R_WRIST,
                 L_SHOULDER, L_ELBOW, L_WRIST, R_EYE, L_EYE, R_EAR, L_EAR)
+TRACKS = ("upper", "lower")
+
+# Stage-2 vocabularies: 24 emotions plus background, and the symptom flag
+# (major depressive disorder or manic episode).
+EMOTION_NAMES = tuple(f"e{i:02d}" for i in range(24)) + ("background",)
+SYMPTOM_NAMES = ("MDD", "ME")
 
 
 class PoselangError(Exception):
@@ -53,24 +50,28 @@ class ValidationError(PoselangError):
     pass
 
 
+class ShapeMismatch(PoselangError):
+    pass
+
+
+def data_lines(path):
+    """(line number, stripped text) of each line of a UTF-8 text file that
+    is neither blank nor a `#` comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class Joint:
-    """One 2D keypoint with its detection confidence."""
-
-    x: float
-    y: float
-    confidence: float
-    valid: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValidationError(f"confidence {self.confidence} outside [0,1]")
 
 
 @dataclass(frozen=True)
@@ -108,15 +109,6 @@ class PoseSequence:
     def n_frames(self) -> int:
         return self.xy.shape[0]
 
-    def pose(self, t: int) -> list[Joint]:
-        """Materialize frame t as a list of 18 Joint records."""
-        return [
-            Joint(self.xy[t, j, 0], self.xy[t, j, 1],
-                  float(np.clip(self.confidence[t, j], 0.0, 1.0)),
-                  bool(self.valid[t, j]))
-            for j in range(N_JOINTS)
-        ]
-
     def replace(self, **kw) -> "PoseSequence":
         data = {
             "xy": self.xy, "confidence": self.confidence, "valid": self.valid,
@@ -151,39 +143,6 @@ UPPER_SUBSET = JointSubset(tuple(sorted(UPPER_JOINTS)))
 
 
 @dataclass(frozen=True)
-class SubsetView:
-    """Read-only projection of a PoseSequence onto a joint subset."""
-
-    xy: np.ndarray
-    confidence: np.ndarray
-    valid: np.ndarray
-    frame_rate: float
-    source_id: str
-    indices: tuple[int, ...]
-
-    @property
-    def n_frames(self) -> int:
-        return self.xy.shape[0]
-
-    @property
-    def n_joints(self) -> int:
-        return len(self.indices)
-
-
-def joint_subset_view(seq: PoseSequence, subset: JointSubset) -> SubsetView:
-    """Project a sequence onto a joint subset; frame count is unchanged."""
-    idx = list(subset.indices)
-    return SubsetView(
-        xy=_freeze(seq.xy[:, idx, :]),
-        confidence=_freeze(seq.confidence[:, idx]),
-        valid=_freeze(seq.valid[:, idx]),
-        frame_rate=seq.frame_rate,
-        source_id=seq.source_id,
-        indices=subset.indices,
-    )
-
-
-@dataclass(frozen=True)
 class LabelSet:
     """Ordered class vocabulary for one body-language track."""
 
@@ -206,10 +165,6 @@ class LabelSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    @property
-    def background(self) -> str:
-        return self.names[self.background_index]
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -223,15 +178,11 @@ def load_label_sets(path) -> dict[str, LabelSet]:
     A background class is appended to each set automatically.
     """
     classes: dict[str, list[str]] = {"upper": [], "lower": []}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2 or parts[0] not in ("upper", "lower"):
-                raise ValidationError(f"bad label manifest line {lineno}: {line!r}")
-            classes[parts[0]].append(parts[1])
+    for lineno, line in data_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2 or parts[0] not in ("upper", "lower"):
+            raise ValidationError(f"bad label manifest line {lineno}: {line!r}")
+        classes[parts[0]].append(parts[1])
     return {track: LabelSet.from_classes(names) for track, names in classes.items()}
 
 
@@ -265,10 +216,13 @@ class PipelineConfig:
                      "emo_hist_stride"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.neck_smooth_radius < 0:
-            raise ValidationError("neck_smooth_radius must be >= 0")
+        for name in ("neck_smooth_radius", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if not self.gaps or any(g <= 0 for g in self.gaps):
             raise ValidationError("gaps must be positive")
+        if len(self.pose_image_size) != 2 or min(self.pose_image_size) < 1:
+            raise ValidationError("pose_image_size must be two positive sizes")
         object.__setattr__(self, "gaps", tuple(sorted(set(int(g) for g in self.gaps))))
         object.__setattr__(self, "pose_image_size",
                            tuple(int(v) for v in self.pose_image_size))
@@ -283,22 +237,24 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Load overrides from a flat key=value text file."""
+        """Load overrides from a flat key=value text file.  Each value is
+        checked on its own, so an error names its line."""
         kw = {}
-        valid = {f.name: f for f in fields(cls)}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in valid:
-                    raise ValidationError(f"unknown config key {key!r}")
+        valid = {f.name for f in fields(cls)}
+        for lineno, line in data_lines(path):
+            where = f"{path} line {lineno}"
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValidationError(f"{where}: expected key=value")
+            if key not in valid:
+                raise ValidationError(f"{where}: unknown config key {key!r}")
+            try:
                 if key in ("gaps", "pose_image_size"):
                     kw[key] = tuple(int(v) for v in value.split(","))
-                elif key == "torso_target":
-                    kw[key] = float(value)
                 else:
-                    kw[key] = int(value)
+                    kw[key] = (float if key == "torso_target" else int)(value)
+                cls(**{key: kw[key]})
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(
+                    f"{where}: bad {key} value {value!r} ({exc})") from None
         return cls(**kw)

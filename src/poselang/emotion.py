@@ -14,36 +14,20 @@ from .core import LabelSet, PoselangError, ValidationError
 N_EMOTIONS = 25  # 24 labeled emotions plus background
 
 
-@dataclass
-class HistogramSequence:
-    """Sliding-window class-count vectors over both prediction tracks.
-
-    Each step concatenates an upper-track and a lower-track histogram;
-    counts are raw (each half sums to the window length) so the network
-    can recover the window size.
-    """
-
-    steps: np.ndarray  # (n_steps, width)
-    window_len: int
-    stride: int
-
-    @property
-    def n_steps(self) -> int:
-        return self.steps.shape[0]
-
-
 def histogram_width(label_sets: dict[str, LabelSet]) -> int:
     return len(label_sets["upper"]) + len(label_sets["lower"])
 
 
 def histogram_sequence(pred: BodyLanguageSequence,
                        label_sets: dict[str, LabelSet],
-                       hist_len: int, stride: int) -> HistogramSequence:
-    """Count class occurrences in length-L slices of both tracks.
+                       hist_len: int, stride: int) -> np.ndarray:
+    """(n_steps, width) class counts in length-L slices of both tracks.
 
-    With L=1, S=1 each step is a pair of one-hots; with L >= K a single
-    video-level histogram is produced (the track is used whole, so the
-    halves sum to K).
+    Each step concatenates an upper-track and a lower-track histogram;
+    counts are raw (each half sums to the slice length) so the network can
+    recover the window size.  With L=1, S=1 each step is a pair of
+    one-hots; with L >= K a single video-level histogram is produced (the
+    track is used whole, so the halves sum to K).
     """
     if hist_len < 1 or stride < 1:
         raise ValidationError(
@@ -65,18 +49,18 @@ def histogram_sequence(pred: BodyLanguageSequence,
     for i, s0 in enumerate(starts):
         steps[i, :w_upper] = np.bincount(pred.upper[s0:s0 + L], minlength=w_upper)
         steps[i, w_upper:] = np.bincount(pred.lower[s0:s0 + L], minlength=w_lower)
-    return HistogramSequence(steps=steps, window_len=hist_len, stride=stride)
+    return steps
 
 
-def net_inputs(hist: HistogramSequence) -> np.ndarray:
+def net_inputs(hist: np.ndarray) -> np.ndarray:
     """Steps rescaled so each track's half sums to ~1.
 
     The sequence itself carries raw counts; the nets see normalized
     histograms so the input magnitude does not grow with the window
     length and saturate the gates.
     """
-    half = hist.steps.sum(axis=1, keepdims=True) / 2.0
-    return hist.steps / np.maximum(half, 1.0)
+    half = hist.sum(axis=1, keepdims=True) / 2.0
+    return hist / np.maximum(half, 1.0)
 
 
 @dataclass
@@ -85,7 +69,7 @@ class EmotionPrediction:
     nhot: np.ndarray           # (25,) ints
 
 
-def predict_emotion(hist: HistogramSequence, net) -> EmotionPrediction:
+def predict_emotion(hist: np.ndarray, net) -> EmotionPrediction:
     """Per-class sigmoid probabilities with a 0.5 presence threshold."""
     probs = net.predict_proba(net_inputs(hist))[0]
     if probs.shape != (N_EMOTIONS,):
@@ -94,7 +78,7 @@ def predict_emotion(hist: HistogramSequence, net) -> EmotionPrediction:
                              nhot=(probs >= 0.5).astype(int))
 
 
-def predict_symptom(hist: HistogramSequence, net) -> float:
+def predict_symptom(hist: np.ndarray, net) -> float:
     """Probability of manic episode (vs major depressive disorder)."""
     probs = net.predict_proba(net_inputs(hist))[0]
     if probs.shape != (1,):
@@ -183,7 +167,7 @@ def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
                  hidden: int = 64, patience: int = 10):
     """Train the emotion and symptom nets on histogram sequences.
 
-    `train_data`/`val_data` are lists of (HistogramSequence, emotion nhot,
+    `train_data`/`val_data` are lists of (histogram sequence, emotion nhot,
     symptom label).  Emotion and symptom share the featurizer but train
     separate nets.
     """

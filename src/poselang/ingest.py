@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import N_JOINTS, PoseSequence, PoselangError
+from .core import (EMOTION_NAMES, N_JOINTS, SYMPTOM_NAMES, PoseSequence,
+                   PoselangError, data_lines)
 
 MIN_JOINT_CONFIDENCE = 0.1
 _FRAME_RE = re.compile(r"(\d+)")
@@ -200,46 +201,45 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
     """Read the dataset manifest CSV.
 
     Columns: clip_id,path,fps,split,labels[,window_labels_path].  The labels
-    column holds `task:name|name;...` channels.  When label_sets is given,
-    upper/lower label names are validated against it.
+    column holds `task:name|name;...` channels.  Emotion and symptom
+    names are checked against EMOTION_NAMES and SYMPTOM_NAMES (one symptom
+    a clip), upper/lower names against label_sets when it is given.
     """
     path = Path(path)
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 5:
-                raise MixedSchema(f"manifest line {lineno}: expected >=5 columns")
-            clip_id, clip_path, fps, split = (p.strip() for p in parts[:4])
-            if clip_id in seen:
-                raise DuplicateClipId(clip_id)
-            seen.add(clip_id)
-            if split not in SPLITS:
-                raise MixedSchema(f"manifest line {lineno}: bad split {split!r}")
-            labels = _parse_labels(parts[4])
-            if label_sets is not None:
-                for track in ("upper", "lower"):
-                    lset = label_sets.get(track)
-                    for name in labels.get(track, ()):
-                        if lset is not None and name not in lset.names:
-                            raise UnknownLabel(
-                                f"manifest line {lineno}: {track} label {name!r}")
-            try:
-                frame_rate = float(fps)
-            except ValueError:
-                frame_rate = math.nan
-            if not (math.isfinite(frame_rate) and frame_rate > 0):
-                raise MalformedFile(
-                    f"{path.name} line {lineno}: fps {fps!r} is not a "
-                    "finite number > 0")
-            window_path = parts[5].strip() if len(parts) > 5 and parts[5].strip() else None
-            entries.append(ManifestEntry(
-                clip_id=clip_id, path=clip_path, frame_rate=frame_rate,
-                split=split, labels=labels, window_labels_path=window_path))
+    vocab = {"emotion": EMOTION_NAMES, "symptom": SYMPTOM_NAMES,
+             **{track: lset.names for track, lset in (label_sets or {}).items()}}
+    for lineno, line in data_lines(path):
+        where = f"{path.name} line {lineno}"
+        parts = line.split(",")
+        if len(parts) < 5:
+            raise MixedSchema(f"{where}: expected >=5 columns")
+        clip_id, clip_path, fps, split = (p.strip() for p in parts[:4])
+        if clip_id in seen:
+            raise DuplicateClipId(f"{where}: clip id {clip_id!r} repeats")
+        seen.add(clip_id)
+        if split not in SPLITS:
+            raise MixedSchema(f"{where}: bad split {split!r}")
+        labels = _parse_labels(parts[4])
+        for channel, names in labels.items():
+            for name in names:
+                if channel in vocab and name not in vocab[channel]:
+                    raise UnknownLabel(f"{where}: {channel} label {name!r}")
+        if len(labels.get("symptom", SYMPTOM_NAMES[:1])) != 1:
+            raise UnknownLabel(f"{where}: the symptom channel needs "
+                               "exactly one label")
+        try:
+            frame_rate = float(fps)
+        except ValueError:
+            frame_rate = math.nan
+        if not (math.isfinite(frame_rate) and frame_rate > 0):
+            raise MalformedFile(
+                f"{where}: fps {fps!r} is not a finite number > 0")
+        window_path = parts[5].strip() if len(parts) > 5 and parts[5].strip() else None
+        entries.append(ManifestEntry(
+            clip_id=clip_id, path=clip_path, frame_rate=frame_rate,
+            split=split, labels=labels, window_labels_path=window_path))
     if not entries:
         raise EmptyManifest(f"{path} holds no entries")
     return DatasetManifest(entries=entries, root=path.parent)
@@ -249,24 +249,19 @@ def load_window_labels(path) -> list[tuple[str, str]]:
     """Read per-window ground truth: `window_index,upper,lower` lines."""
     path = Path(path)
     rows: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            where = f"{path.name} line {lineno}"
-            if len(parts) != 3:
-                raise MalformedFile(
-                    f"{where}: expected 3 columns, got {len(parts)}")
-            idx, upper, lower = parts
-            try:
-                index = int(idx)
-            except ValueError:
-                raise MalformedFile(
-                    f"{where}: window index {idx!r} is not an integer") from None
-            if index != len(rows):
-                raise MalformedFile(
-                    f"{where}: window index {index}, expected {len(rows)}")
-            rows.append((upper.strip(), lower.strip()))
+    for lineno, line in data_lines(path):
+        parts = line.split(",")
+        where = f"{path.name} line {lineno}"
+        if len(parts) != 3:
+            raise MalformedFile(f"{where}: expected 3 columns, got {len(parts)}")
+        idx, upper, lower = parts
+        try:
+            index = int(idx)
+        except ValueError:
+            raise MalformedFile(
+                f"{where}: window index {idx!r} is not an integer") from None
+        if index != len(rows):
+            raise MalformedFile(
+                f"{where}: window index {index}, expected {len(rows)}")
+        rows.append((upper.strip(), lower.strip()))
     return rows

@@ -20,9 +20,6 @@ class MultilabelScores:
     recall: float
     f1: float
 
-    def as_row(self):
-        return (self.accuracy, self.precision, self.recall, self.f1)
-
 
 def _as_sets(samples):
     out = []
@@ -47,27 +44,17 @@ def multilabel_scores(pred, truth) -> MultilabelScores:
         raise LengthMismatch(f"{len(pred)} predictions vs {len(truth)} truths")
     if not pred:
         raise LengthMismatch("no samples")
-    accs, precs, recs, f1s = [], [], [], []
+    rows = []
     for p, t in zip(pred, truth):
-        inter = len(p & t)
-        union = len(p | t)
+        inter, union = len(p & t), len(p | t)
         if union == 0:
-            accs.append(1.0)
-            precs.append(1.0)
-            recs.append(1.0)
-            f1s.append(1.0)
+            rows.append((1.0, 1.0, 1.0, 1.0))
             continue
-        acc = inter / union
         prec = inter / len(p) if p else 0.0
         rec = inter / len(t) if t else 0.0
         f1 = 2 * prec * rec / (prec + rec) if (prec + rec) > 0 else 0.0
-        accs.append(acc)
-        precs.append(prec)
-        recs.append(rec)
-        f1s.append(f1)
-    return MultilabelScores(
-        accuracy=float(np.mean(accs)), precision=float(np.mean(precs)),
-        recall=float(np.mean(recs)), f1=float(np.mean(f1s)))
+        rows.append((inter / union, prec, rec, f1))
+    return MultilabelScores(*(float(np.mean(col)) for col in zip(*rows)))
 
 
 def binary_accuracy(pred, truth) -> float:

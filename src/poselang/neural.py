@@ -7,17 +7,13 @@ seed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PoselangError
-
-
-class ShapeMismatch(PoselangError):
-    pass
+from . import artifacts
+from .core import PoselangError, ShapeMismatch
 
 
 class NonFiniteActivation(PoselangError):
@@ -44,14 +40,32 @@ def sigmoid(z):
 # ---------------------------------------------------------------------------
 # Layers
 
-class Dense:
+class _Weighted:
+    """A layer with weights W and bias b, and their gradients dW and db."""
+
+    def params(self):
+        return [self.W, self.b]
+
+    def grads(self):
+        return [self.dW, self.db]
+
+
+class _Stateless:
+    """A layer without parameters."""
+
+    def params(self):
+        return []
+
+    grads = params
+
+
+class Dense(_Weighted):
     def __init__(self, n_in, n_out, rng):
         scale = 1.0 / np.sqrt(n_in)
         self.W = rng.normal(0.0, scale, size=(n_in, n_out))
         self.b = np.zeros(n_out)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def forward(self, x):
         if x.shape[1] != self.W.shape[0]:
@@ -64,14 +78,8 @@ class Dense:
         self.db[...] = dout.sum(axis=0)
         return dout @ self.W.T
 
-    def params(self):
-        return [self.W, self.b]
 
-    def grads(self):
-        return [self.dW, self.db]
-
-
-class Tanh:
+class Tanh(_Stateless):
     def forward(self, x):
         self._out = np.tanh(x)
         return self._out
@@ -79,14 +87,8 @@ class Tanh:
     def backward(self, dout):
         return dout * (1.0 - self._out ** 2)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class Conv2D:
+class Conv2D(_Weighted):
     """3x3 same-padding convolution, stride 1, NHWC layout."""
 
     def __init__(self, c_in, c_out, rng):
@@ -127,39 +129,24 @@ class Conv2D:
                     dcols[..., (i * 3 + j) * C:(i * 3 + j + 1) * C]
         return dxp[:, 1:-1, 1:-1, :]
 
-    def params(self):
-        return [self.W, self.b]
 
-    def grads(self):
-        return [self.dW, self.db]
-
-
-class AvgPool2:
+class AvgPool2(_Stateless):
     """2x2 average pooling; spatial dims must be even."""
 
     def forward(self, x):
         B, H, W, C = x.shape
         if H % 2 or W % 2:
             raise ShapeMismatch(f"avgpool needs even spatial dims, got {H}x{W}")
-        self._shape = x.shape
         # Same additions in the same order as mean(axis=(2, 4)) over the
         # (B, H/2, 2, W/2, 2, C) view, without its strided reduction.
         return (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
                 + x[:, 1::2, 0::2] + x[:, 1::2, 1::2]) / 4.0
 
     def backward(self, dout):
-        B, H, W, C = self._shape
-        d = np.repeat(np.repeat(dout, 2, axis=1), 2, axis=2)
-        return d / 4.0
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
+        return np.repeat(np.repeat(dout, 2, axis=1), 2, axis=2) / 4.0
 
 
-class GlobalAvgPool:
+class GlobalAvgPool(_Stateless):
     def forward(self, x):
         self._shape = x.shape
         return x.mean(axis=(1, 2))
@@ -167,12 +154,6 @@ class GlobalAvgPool:
     def backward(self, dout):
         B, H, W, C = self._shape
         return np.broadcast_to(dout[:, None, None, :], self._shape) / (H * W)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +165,10 @@ class _Net:
     layers: list
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def grads(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        return [g for layer in self.layers for g in layer.grads()]
 
     def check_finite(self, out):
         if not np.all(np.isfinite(out)):
@@ -220,7 +195,6 @@ class ConvEncoder(_Net):
         self.pool = GlobalAvgPool()
         self.head = Dense(c_prev, n_classes, _rng(seed, 100))
         self.layers += [self.pool, self.head]
-        self.embedding_dim = c_prev
 
     def forward(self, x):
         h = np.asarray(x, dtype=np.float64)
@@ -240,14 +214,14 @@ class ConvEncoder(_Net):
         self.layers[0].backward(d, input_grad=False)
 
     def embed(self, x):
-        """(B, H, W, C) -> (B, embedding_dim) pooled activations."""
+        """(B, H, W, C) -> (B, channels[-1]) pooled activations."""
         h = np.asarray(x, dtype=np.float64)
         for layer in self.layers[:-1]:
             h = layer.forward(h)
         return self.check_finite(h)
 
 
-class LSTMCellStack:
+class LSTMCellStack(_Weighted):
     """Single-layer LSTM unrolled over time with backprop through time."""
 
     def __init__(self, n_in, n_hidden, rng):
@@ -311,12 +285,6 @@ class LSTMCellStack:
             dx[:, t, :] = dxh[:, :dx.shape[2]]
             dh_next = dxh[:, dx.shape[2]:]
         return dx
-
-    def params(self):
-        return [self.W, self.b]
-
-    def grads(self):
-        return [self.dW, self.db]
 
 
 class RecurrentNet(_Net):
@@ -434,7 +402,7 @@ def softmax_cross_entropy(logits, labels):
     return loss, dlogits / B
 
 
-def bce_with_logits(logits, targets, weight: float = 1.0):
+def bce_with_logits(logits, targets):
     """Per-class binary cross entropy, averaged over batch and classes."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
@@ -442,7 +410,7 @@ def bce_with_logits(logits, targets, weight: float = 1.0):
     z, y = logits, targets
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     dlogits = (sigmoid(z) - y) / logits.size
-    return weight * loss.mean(), weight * dlogits
+    return loss.mean(), dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +432,13 @@ class TrainSpec:
             raise PoselangError("epochs must be >= 1")
 
 
+_LOSSES = {"softmax": softmax_cross_entropy, "bce": bce_with_logits}
+
+
 def _loss_fn(kind):
-    if kind == "softmax":
-        return softmax_cross_entropy
-    if kind == "bce":
-        return bce_with_logits
-    raise PoselangError(f"unknown loss {kind!r}")
+    if kind not in _LOSSES:
+        raise PoselangError(f"unknown loss {kind!r}")
+    return _LOSSES[kind]
 
 
 class SGD:
@@ -492,7 +461,7 @@ def _batches(n, batch_size, rng):
         yield order[i:i + batch_size]
 
 
-def train(net, inputs, targets, spec: TrainSpec, epoch_hook=None):
+def train(net, inputs, targets, spec: TrainSpec):
     """Mini-batch SGD with momentum; returns the per-epoch mean loss curve.
 
     `inputs` is either one stacked array or a list of per-sample arrays
@@ -526,8 +495,6 @@ def train(net, inputs, targets, spec: TrainSpec, epoch_hook=None):
                 total += loss * len(sub)
                 count += len(sub)
         curve.append(total / count)
-        if epoch_hook is not None:
-            epoch_hook(epoch, net)
     return curve
 
 
@@ -564,56 +531,40 @@ def gradient_check(net, x, y, loss_kind: str, h: float = 1e-5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: JSON header line + flat little-endian float64 parameters.
+# Checkpoints: the header names the net's kind, constructor config and
+# seed; the payload holds its parameters, flattened in `params()` order.
 
 CKPT_MAGIC = "POSELANG-CKPT-1"
 
-_NET_KINDS = {}
-
-
-def _register(cls):
-    _NET_KINDS[cls.kind] = cls
-    return cls
-
-
-_register(ConvEncoder)
-_register(RecurrentNet)
-_register(Conv1DNet)
+_NET_KINDS = {cls.kind: cls for cls in (ConvEncoder, RecurrentNet, Conv1DNet)}
 
 
 def save_checkpoint(net, path, config_hash: str = "") -> None:
-    header = {
-        "magic": CKPT_MAGIC, "kind": net.kind, "config": _jsonable(net.config),
+    config = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in net.config.items()}
+    artifacts.write(path, {
+        "magic": CKPT_MAGIC, "kind": net.kind, "config": config,
         "seed": int(net.seed), "config_hash": config_hash,
-    }
-    flat = np.concatenate([p.ravel() for p in net.params()])
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
-
-
-def _jsonable(config):
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()}
+    }, np.concatenate([p.ravel() for p in net.params()]))
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != CKPT_MAGIC:
-            raise PoselangError(f"{path}: not a checkpoint file")
-        if expect_config_hash is not None and header["config_hash"] != expect_config_hash:
-            raise PoselangError(
-                f"{path}: config hash {header['config_hash']} != "
-                f"{expect_config_hash}")
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    cls = _NET_KINDS[header["kind"]]
-    config = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in header["config"].items()}
-    net = cls(seed=header["seed"], **config)
+    header, flat = artifacts.read(path, CKPT_MAGIC, expect_config_hash)
+    cls = _NET_KINDS.get(str(header.get("kind")))
+    if cls is None:
+        raise artifacts.CorruptArtifact(
+            f"{path}: unknown net kind {header.get('kind')!r}")
+    with artifacts.fields_of(path):
+        net = cls(seed=header["seed"], **{
+            k: tuple(v) if isinstance(v, list) else v
+            for k, v in header["config"].items()})
+    params = net.params()
+    if sum(p.size for p in params) != flat.size:
+        raise artifacts.CorruptArtifact(
+            f"{path}: {flat.size} parameters, but a {cls.kind} net of this "
+            f"config has {sum(p.size for p in params)}")
     offset = 0
-    for p in net.params():
+    for p in params:
         p[...] = flat[offset:offset + p.size].reshape(p.shape)
         offset += p.size
-    if offset != flat.size:
-        raise PoselangError(f"{path}: parameter count mismatch")
     return net

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import JointSubset, PoseSequence, PoselangError, joint_subset_view
+from .core import JointSubset, PoseSequence, PoselangError
 
 DEGENERATE_SUM = 1e-8
 
@@ -32,23 +31,6 @@ def stream_kinds(gaps, feature_kind: str = NTRAJ_PLUS) -> list[str]:
     return kinds
 
 
-@dataclass(frozen=True)
-class StreamId:
-    """Identity of one value stream: kind, optional gap, joint scope."""
-
-    kind: str
-    gap: int | None
-    joints: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TrajectoryDescriptor:
-    stream: StreamId
-    start_frame: int
-    values: np.ndarray
-    degenerate: bool
-
-
 @dataclass
 class StreamBlock:
     """All streams of one kind, stacked: values is (time, n_streams)."""
@@ -64,24 +46,20 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return np.where(a <= -np.pi, np.pi, a)
 
 
-def raw_streams(seq: PoseSequence | object, subset: JointSubset,
+def raw_streams(seq: PoseSequence, subset: JointSubset,
                 gaps, feature_kind: str = NTRAJ_PLUS) -> dict[str, StreamBlock]:
     """Compute every per-frame stream value for the subset's joints.
 
     Returns one block per stream kind.  Motion blocks at gap s are s frames
     shorter than the sequence.
     """
-    if isinstance(seq, PoseSequence):
-        view = joint_subset_view(seq, subset)
-    else:
-        view = seq
-    pos = view.xy  # (L, J, 2)
+    joints = subset.indices
+    pos = seq.xy[:, joints]  # (L, J, 2)
     n, J = pos.shape[0], pos.shape[1]
     gaps = tuple(sorted(gaps))
     if n < max(gaps) + 1:
         raise SequenceTooShort(f"{n} frames < max gap {max(gaps)} + 1")
 
-    joints = view.indices
     blocks: dict[str, StreamBlock] = {}
     single = [(j,) for j in joints]
     blocks["posx"] = StreamBlock("posx", None, pos[:, :, 0], single)
@@ -159,19 +137,13 @@ def extract_descriptors(seq, subset: JointSubset, traj_len: int, gaps,
     descriptor counts stay independent of content.
     """
     gaps = tuple(sorted(gaps))
-    n = seq.n_frames if hasattr(seq, "n_frames") else seq.xy.shape[0]
+    n = seq.n_frames
     if n < traj_len + max(gaps):
         raise SequenceTooShort(
             f"{n} frames < traj_len {traj_len} + max gap {max(gaps)}")
     blocks = raw_streams(seq, subset, gaps, feature_kind)
     out: dict[str, DescriptorBlock] = {}
     for key, blk in blocks.items():
-        if blk.values.shape[1] == 0:
-            out[key] = DescriptorBlock(
-                blk.kind, blk.gap,
-                np.zeros((0, 0, traj_len)), np.zeros(0, dtype=int), [],
-                np.zeros((0, 0), dtype=bool))
-            continue
         # (n_starts, n_streams, T)
         windows = sliding_window_view(blk.values, traj_len, axis=0).copy()
         values, degenerate = _normalize_block(windows)
@@ -179,31 +151,6 @@ def extract_descriptors(seq, subset: JointSubset, traj_len: int, gaps,
             blk.kind, blk.gap, values,
             np.arange(values.shape[0]), blk.scopes, degenerate)
     return out
-
-
-def iter_descriptors(blocks: dict[str, DescriptorBlock]):
-    """Flatten descriptor blocks into TrajectoryDescriptor records."""
-    for blk in blocks.values():
-        for c, scope in enumerate(blk.scopes):
-            sid = StreamId(blk.kind, blk.gap, scope)
-            for t in blk.start_frames:
-                yield TrajectoryDescriptor(
-                    stream=sid, start_frame=int(t),
-                    values=blk.values[t, c], degenerate=bool(blk.degenerate[t, c]))
-
-
-def descriptor_census(n_joints: int, gaps, feature_kind: str) -> dict[str, int]:
-    """Number of streams per kind for a J-joint subset."""
-    J = n_joints
-    census = {"posx": J, "posy": J}
-    for s in sorted(gaps):
-        census[f"dx{s}"] = J
-        census[f"dy{s}"] = J
-        census[f"angle{s}"] = J
-    if feature_kind == NTRAJ_PLUS:
-        census["pair_orient"] = comb(J, 2)
-        census["inner_angle"] = 3 * comb(J, 3)
-    return census
 
 
 def descriptor_count(n_frames: int, traj_len: int, gap: int | None) -> int:

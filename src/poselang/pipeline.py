@@ -4,6 +4,7 @@ training, and evaluate."""
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
-from .core import LabelSet, PipelineConfig, PoselangError, PoseSequence
+from .core import (ADMISSIBLE_CODEBOOK_SIZES, EMOTION_NAMES, TRACKS,
+                   LabelSet, PipelineConfig, PoselangError, PoseSequence,
+                   load_label_sets)
 
 
 class WindowCountMismatch(PoselangError):
@@ -81,15 +84,12 @@ class Dataset:
     gt_windows: dict[str, list[tuple[str, str]]]
 
 
-def load_dataset(manifest_path, config: PipelineConfig,
-                 label_sets: dict[str, LabelSet] | None = None) -> Dataset:
+def load_dataset(manifest_path, config: PipelineConfig) -> Dataset:
     """Read the manifest, label sets and window labels; pose clips are
     ingested later, when `ds.sequences` is first indexed by their id."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
-    if label_sets is None:
-        from .core import load_label_sets
-        label_sets = load_label_sets(root / "labels.csv")
+    label_sets = load_label_sets(root / "labels.csv")
     manifest = ingest.load_manifest(manifest_path, label_sets)
     gt_windows = {e.clip_id: ingest.load_window_labels(
                       root / e.window_labels_path)
@@ -166,23 +166,8 @@ def train_encoder(ds: Dataset, track: str, spec: neural.TrainSpec,
     net = neural.ConvEncoder(
         in_hw=ds.config.pose_image_size, in_channels=2,
         n_classes=len(ds.label_sets[track]), seed=spec.seed)
-    # Pose images live in [0, 255]; feed the net a [-1, 1] view.
-    neural.train(net, images / 127.5 - 1.0, labels, spec)
-    return _ScaledEncoder(net)
-
-
-class _ScaledEncoder:
-    """Applies the [0,255] -> [-1,1] input map in front of a ConvEncoder."""
-
-    def __init__(self, net: neural.ConvEncoder):
-        self.net = net
-
-    def embed(self, images):
-        return self.net.embed(np.asarray(images) / 127.5 - 1.0)
-
-    @property
-    def inner(self):
-        return self.net
+    neural.train(net, images, labels, spec)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +193,7 @@ def build_stores(ds: Dataset, rows, feature_kind: str,
         return feats_cache[key]
 
     stores = {}
-    for track in ("upper", "lower"):
+    for track in TRACKS:
         track_rows = [r for r in rows if r[0] == track]
         feats, names, prov = [], [], []
         for _, clip_id, start, cls in track_rows:
@@ -233,6 +218,17 @@ def predict_split(ds: Dataset, split: str, stores, codebooks=None,
             ds.sequences[entry.clip_id], stores, ds.config,
             codebooks=codebooks, encoders=encoders)
     return preds
+
+
+def evaluate_exemplar_knn(ds: Dataset, feature_kind: str, codebooks=None,
+                          encoders=None):
+    """Pick exemplars, build stores, predict the test split and score it:
+    (window accuracy, video-level scores)."""
+    rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
+                                ds.config.window_stride, seed=ds.config.seed)
+    stores = build_stores(ds, rows, feature_kind, codebooks, encoders)
+    preds = predict_split(ds, "test", stores, codebooks, encoders)
+    return window_accuracy(ds, preds), video_multilabel(ds, preds)
 
 
 def window_accuracy(ds: Dataset, preds) -> dict[str, float]:
@@ -286,15 +282,13 @@ def gt_sequence(ds: Dataset, clip_id: str) -> bodylang.BodyLanguageSequence:
     ones = np.ones(len(gt))
     return bodylang.BodyLanguageSequence(
         clip_id=clip_id, upper=upper, lower=lower, upper_conf=ones,
-        lower_conf=ones, window_len=ds.config.window_len,
-        stride=ds.config.window_stride)
+        lower_conf=ones)
 
 
 def emotion_nhot(entry: ingest.ManifestEntry) -> np.ndarray:
-    names = synth.emotion_names()
     vec = np.zeros(emotion.N_EMOTIONS, dtype=int)
     for name in entry.labels.get("emotion", ()):
-        vec[names.index(name)] = 1
+        vec[EMOTION_NAMES.index(name)] = 1
     return vec
 
 
@@ -304,7 +298,7 @@ def symptom_label(entry: ingest.ManifestEntry) -> int:
 
 def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int,
                 preds=None):
-    """(HistogramSequence, emotion nhot, symptom) triples for one split.
+    """(histogram sequence, emotion nhot, symptom) triples for one split.
 
     Uses stage-1 predictions when given, otherwise ground-truth sequences.
     """
@@ -320,6 +314,23 @@ def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int,
     return data
 
 
+def stage2_splits(ds: Dataset, hist_len: int, stride: int, preds=None):
+    """`stage2_data` for every split; `preds` maps each split to its
+    stage-1 predictions, or is None for ground-truth sequences."""
+    return {split: stage2_data(ds, split, hist_len, stride,
+                               None if preds is None else preds[split])
+            for split in ingest.SPLITS}
+
+
+def predict_stage2(ds: Dataset, net, test_data, task: str):
+    """(clip id, EmotionPrediction or manic-episode probability) pairs."""
+    predict = emotion.predict_emotion if task == "emotion" \
+        else emotion.predict_symptom
+    entries = sorted(ds.manifest.split("test"), key=lambda e: e.clip_id)
+    return [(e.clip_id, predict(hist, net))
+            for e, (hist, _, _) in zip(entries, test_data)]
+
+
 def evaluate_stage2_emotion(net, data) -> metrics.MultilabelScores:
     preds = [emotion.predict_emotion(h, net).nhot for h, _, _ in data]
     truth = [e for _, e, _ in data]
@@ -330,3 +341,67 @@ def evaluate_stage2_symptom(net, data) -> float:
     preds = [int(emotion.predict_symptom(h, net) >= 0.5) for h, _, _ in data]
     truth = [s for _, _, s in data]
     return metrics.binary_accuracy(preds, truth)
+
+
+# ---------------------------------------------------------------------------
+# Ablation sweeps: each returns its CSV lines.
+
+def sweep_codebook_size(ds: Dataset) -> list[str]:
+    lines = ["N,track,window_accuracy,video_f1"]
+    for n in ADMISSIBLE_CODEBOOK_SIZES:
+        sub = dataclasses.replace(
+            ds, config=dataclasses.replace(ds.config, codebook_size=n))
+        books = {t: train_codebooks(sub, t) for t in TRACKS}
+        acc, f1s = evaluate_exemplar_knn(sub, bodylang.FEATURE_NTRAJ_PLUS,
+                                         codebooks=books)
+        lines += [f"{n},{t},{acc[t]:.6f},{f1s[t].f1:.6f}" for t in TRACKS]
+    return lines
+
+
+def sweep_histogram_window(ds: Dataset, preds=None) -> list[str]:
+    """Emotion scores at L=S=1, the configured L/S, and L=S=K."""
+    config = ds.config
+    lines = ["L,S,accuracy,precision,recall,f1"]
+    K = min(len(g) for g in ds.gt_windows.values()) if ds.gt_windows \
+        else config.emo_hist_len
+    for L, S in ((1, 1), (config.emo_hist_len, config.emo_hist_stride),
+                 (K, K)):
+        data = stage2_splits(ds, L, S, preds)
+        spec = neural.TrainSpec(learning_rate=0.5, epochs=400,
+                                batch_size=16, seed=config.seed, loss="bce")
+        emo_net, _, _ = emotion.train_stage2(
+            data["train"], data["val"], ds.label_sets, spec, patience=50)
+        s = evaluate_stage2_emotion(emo_net, data["test"])
+        lines.append(f"{L},{S},{s.accuracy:.6f},{s.precision:.6f},"
+                     f"{s.recall:.6f},{s.f1:.6f}")
+    return lines
+
+
+def sweep_data_fraction(ds: Dataset) -> list[str]:
+    """ST-Conv window accuracy with encoders trained on 100, 50 and 20 %
+    of the training clips."""
+    lines = ["fraction,track,window_accuracy"]
+    train_ids = sorted(e.clip_id for e in ds.manifest.split("train"))
+    spec = neural.TrainSpec(learning_rate=0.05, epochs=90,
+                            seed=ds.config.seed, loss="softmax")
+    accs = {}
+    for frac in (1.0, 0.5, 0.2):
+        ids = train_ids[:max(1, int(round(frac * len(train_ids))))]
+        encs = {t: train_encoder(ds, t, spec, ids) for t in TRACKS}
+        acc, _ = evaluate_exemplar_knn(ds, bodylang.FEATURE_STCONV,
+                                       encoders=encs)
+        accs[frac] = acc["overall"]
+        lines += [f"{frac},{t},{acc[t]:.6f}" for t in TRACKS]
+    drop = 100.0 * (accs[1.0] - accs[0.2]) / max(accs[1.0], 1e-12)
+    lines.append(f"# drop_percent_at_20={drop:.2f}")
+    return lines
+
+
+def sweep_feature(ds: Dataset, preds_by_kind) -> list[str]:
+    """Test-split scores of stored predictions, one block per feature."""
+    lines = ["feature,track,window_accuracy,video_f1"]
+    for kind, preds in preds_by_kind.items():
+        acc = window_accuracy(ds, preds)
+        f1s = video_multilabel(ds, preds)
+        lines += [f"{kind},{t},{acc[t]:.6f},{f1s[t].f1:.6f}" for t in TRACKS]
+    return lines

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import PoselangError
+from .core import PoselangError, ShapeMismatch
 
 # Column order chains body parts head-first: nose, left arm, right arm,
 # neck, left leg, right leg, eyes, ears.
@@ -23,10 +23,6 @@ CHAIN_ORDER = (
 
 
 class EmptyWindow(PoselangError):
-    pass
-
-
-class ShapeMismatch(PoselangError):
     pass
 
 
@@ -84,12 +80,3 @@ def encode_pose_image(windows_xy: np.ndarray,
     # A fresh C-ordered output, not the transposed layout of `values`.
     return np.clip(values, 0.0, 255.0, out=np.empty(values.shape))
 
-
-def save_pgm(image: np.ndarray, path_prefix) -> None:
-    """Dump each channel of an (H, W, 2) pose image as an 8-bit PGM for
-    eyeballing."""
-    for c, name in enumerate(("x", "y")):
-        mat = np.round(image[:, :, c]).astype(np.uint8)
-        header = f"P5\n{mat.shape[1]} {mat.shape[0]}\n255\n".encode("ascii")
-        with open(f"{path_prefix}_{name}.pgm", "wb") as fh:
-            fh.write(header + mat.tobytes())

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .bodylang import window_starts
+from .bodylang import BodyLanguageSequence, window_starts
 from .core import LabelSet, PipelineConfig, PoseSequence
 
 BACKGROUND = "background"
@@ -247,8 +247,7 @@ def label_sequence_dataset(n_clips: int, n_windows: int,
                            label_sets: dict[str, LabelSet],
                            rules, corrupt_prob: float, seed: int = 0,
                            background_prob: float = 0.15,
-                           segment_range: tuple[int, int] = (4, 8),
-                           window_len: int = 6, stride: int = 3):
+                           segment_range: tuple[int, int] = (4, 8)):
     """Window-label sequences with a controlled corruption rate.
 
     Bypasses the pose pipeline: segments are drawn directly on the window
@@ -257,8 +256,6 @@ def label_sequence_dataset(n_clips: int, n_windows: int,
     for stage-1 prediction noise.  Returns (clean, noisy, emotion n-hot)
     triples of BodyLanguageSequence.
     """
-    from .bodylang import BodyLanguageSequence
-
     out = []
     for i in range(n_clips):
         rng = np.random.default_rng((seed, 900, i))
@@ -294,8 +291,7 @@ def label_sequence_dataset(n_clips: int, n_windows: int,
         def mk(d):
             return BodyLanguageSequence(
                 clip_id=f"lseq{i:04d}", upper=d["upper"], lower=d["lower"],
-                upper_conf=ones, lower_conf=ones, window_len=window_len,
-                stride=stride)
+                upper_conf=ones, lower_conf=ones)
 
         out.append((mk(clean), mk(noisy), emotions))
     return out
@@ -317,10 +313,6 @@ def stage2_scenario(**overrides) -> ScenarioSpec:
                 emotion_rules=order_rich_emotion_rules())
     base.update(overrides)
     return ScenarioSpec(**base)
-
-
-def emotion_names() -> list[str]:
-    return [f"e{i:02d}" for i in range(24)] + [BACKGROUND]
 
 
 @dataclass
@@ -446,8 +438,8 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig,
         video[track] = tuple(present)
 
     emotions = emotions_from_windows(window_labels, spec.emotion_rules)
-    names = emotion_names()
-    video["emotion"] = tuple(names[i] for i in np.flatnonzero(emotions))
+    video["emotion"] = tuple(core.EMOTION_NAMES[i]
+                             for i in np.flatnonzero(emotions))
     symptom = symptom_from_windows(window_labels, spec.high_motion_names(),
                                    spec.high_motion_threshold)
     video["symptom"] = ("ME",) if symptom else ("MDD",)

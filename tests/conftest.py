@@ -1,8 +1,15 @@
 """Shared fixtures: a tiny on-disk synthetic dataset."""
 
 import pytest
+from hypothesis import settings
 
 from poselang import core, pipeline, synth
+
+# Property tests replay one fixed set of examples on every run and keep no
+# example database, so the suite stays deterministic.
+settings.register_profile("poselang", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("poselang")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_sequence
-from poselang import bodylang, core
+from poselang import artifacts, bodylang, core, ntraj
 
 
 def _store(features, labels, feature_kind=bodylang.FEATURE_NTRAJ_PLUS,
@@ -20,7 +20,7 @@ class TestWindows:
     def test_starts(self):
         assert np.array_equal(bodylang.window_starts(12, 6, 3), [0, 3, 6])
         assert np.array_equal(bodylang.window_starts(6, 6, 3), [0])
-        with pytest.raises(bodylang.SequenceTooShort):
+        with pytest.raises(ntraj.SequenceTooShort):
             bodylang.window_starts(5, 6, 3)
 
 
@@ -80,8 +80,7 @@ class TestVideoNhot:
         n = len(upper)
         return bodylang.BodyLanguageSequence(
             clip_id="c", upper=np.array(upper), lower=np.array(lower),
-            upper_conf=np.ones(n), lower_conf=np.ones(n),
-            window_len=6, stride=3)
+            upper_conf=np.ones(n), lower_conf=np.ones(n))
 
     def test_min_windows_and_background(self):
         sets = {"upper": core.LabelSet.from_classes(["a", "b"]),
@@ -99,6 +98,8 @@ class TestManifests:
     # 24 frames: windows of 6 frames start at 0, 3, ..., 18.
     SEQS = {c: make_sequence(np.random.default_rng(0), n_frames=24)
             for c in ("clip", "clip001", "clip002")}
+    SETS = {"upper": core.LabelSet.from_classes(["wave"]),
+            "lower": core.LabelSet.from_classes(["lean"])}
 
     def test_exemplar_round_trip(self, tmp_path):
         rows = [("upper", "clip001", 12, "wave"),
@@ -107,21 +108,21 @@ class TestManifests:
         path = tmp_path / "ex.csv"
         bodylang.save_exemplar_manifest(rows, path)
         assert bodylang.load_exemplar_manifest(
-            path, self.SEQS, core.PipelineConfig()) == rows
+            path, self.SEQS, core.PipelineConfig(), self.SETS) == rows
 
     def test_every_set_needs_a_row(self, tmp_path):
         path = tmp_path / "ex.csv"
         path.write_text("upper,clip,0,wave\n")
         with pytest.raises(core.PoselangError, match="no rows for the lower"):
             bodylang.load_exemplar_manifest(path, self.SEQS,
-                                            core.PipelineConfig())
+                                            core.PipelineConfig(), self.SETS)
 
     def test_bad_track(self, tmp_path):
         path = tmp_path / "ex.csv"
         path.write_text("middle,clip,0,wave\n")
         with pytest.raises(core.PoselangError):
             bodylang.load_exemplar_manifest(path, self.SEQS,
-                                            core.PipelineConfig())
+                                            core.PipelineConfig(), self.SETS)
 
     @pytest.mark.parametrize("row,message", [
         ("upper,nope,0,wave", "unknown clip 'nope'"),
@@ -130,6 +131,7 @@ class TestManifests:
         ("upper,clip,x3,wave", "window start 'x3' is not an integer"),
         ("upper,clip,0", "expected 4 columns"),
         ("upper,clip,4,wave", "not a multiple of window_stride 3"),
+        ("upper,clip,3,lean", "unknown upper class 'lean'"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "ex.csv"
@@ -137,7 +139,7 @@ class TestManifests:
                         "lower,clip,0,lean\n")
         with pytest.raises(core.PoselangError) as err:
             bodylang.load_exemplar_manifest(path, self.SEQS,
-                                            core.PipelineConfig())
+                                            core.PipelineConfig(), self.SETS)
         assert f"{path}:3: " in str(err.value)
         assert message in str(err.value)
 
@@ -147,9 +149,8 @@ def test_prediction_rows_format():
             "lower": core.LabelSet.from_classes(["p"])}
     pred = bodylang.BodyLanguageSequence(
         clip_id="c9", upper=np.array([0, 1]), lower=np.array([1, 0]),
-        upper_conf=np.array([0.5, 0.25]), lower_conf=np.array([1.0, 0.75]),
-        window_len=6, stride=3)
-    rows = list(bodylang.prediction_rows(pred, sets))
+        upper_conf=np.array([0.5, 0.25]), lower_conf=np.array([1.0, 0.75]))
+    rows = list(artifacts.prediction_rows(pred, sets))
     assert rows[0] == "c9,upper,0,a,0.500000"
     assert rows[1] == "c9,upper,1,background,0.250000"
     assert rows[2] == "c9,lower,0,background,1.000000"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poselang import bodylang, cli, core, ingest, pipeline
+from poselang import artifacts, bodylang, cli, core, ingest, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ class TestStage2WithoutClips:
             stage2_workdir / "dataset" / "manifest.csv", core.PipelineConfig())
         lines = ["# ground truth as predictions"]
         for entry in ds.manifest.split("test"):
-            lines.extend(bodylang.prediction_rows(
+            lines.extend(artifacts.prediction_rows(
                 pipeline.gt_sequence(ds, entry.clip_id), ds.label_sets))
         out = stage2_workdir / "predictions" / "ntraj+"
         out.mkdir(parents=True)
@@ -216,6 +216,7 @@ class TestExemplarManifest:
         ("upper,{clip},3.5,{cls}", "window start '3.5' is not an integer"),
         ("upper,{clip},3", "expected 4 columns"),
         ("upper,{clip},4,{cls}", "not a multiple of window_stride 3"),
+        ("upper,{clip},0,nonsense", "unknown upper class 'nonsense'"),
     ])
     def test_bad_row(self, runner, small_workdir, row, message):
         ds = pipeline.load_dataset(
@@ -264,11 +265,11 @@ class TestWindowCountMismatch:
         zeros = np.zeros(34, dtype=int)
         pred = bodylang.BodyLanguageSequence(
             clip_id=clip, upper=zeros, lower=zeros, upper_conf=zeros + 1.0,
-            lower_conf=zeros + 1.0, window_len=6, stride=2)
+            lower_conf=zeros + 1.0)
         out = restrided / "predictions" / "ntraj+"
         out.mkdir(parents=True)
         (out / "test.csv").write_text(
-            "\n".join(bodylang.prediction_rows(pred, ds.label_sets)) + "\n")
+            "\n".join(artifacts.prediction_rows(pred, ds.label_sets)) + "\n")
         result = invoke(runner, restrided, "eval", "--task", "bodylang",
                         expect=3)
         assert (f"clip {clip}: 34 windows but 23 ground-truth window labels"
@@ -297,8 +298,7 @@ def test_stconv_artifacts_are_deterministic(runner, tmp_path):
 def test_load_predictions_round_trip(runner, workdir, config):
     cfg = core.PipelineConfig.from_file(workdir / "config.txt")
     ds = pipeline.load_dataset(workdir / "dataset" / "manifest.csv", cfg)
-    preds = cli.load_predictions(
-        workdir / "predictions" / "ntraj+" / "test.csv", ds)
+    preds = artifacts.load_predictions(workdir, "ntraj+", "test", ds)
     assert len(preds) == 3
     for clip_id, pred in preds.items():
         assert pred.n_windows == 23

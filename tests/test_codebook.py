@@ -7,6 +7,13 @@ from poselang import codebook as cb
 from poselang.ntraj import DescriptorBlock
 
 
+def quantize(descriptor, codebook):
+    """One descriptor's nearest centroid by direct distance, lowest index
+    on ties: the oracle for quantize_batch."""
+    d2 = np.square(codebook.centroids - descriptor).sum(axis=1)
+    return int(np.argmin(d2))
+
+
 def _clustered_points(rng, centers, per=30, spread=0.05):
     pts = [c + rng.normal(0.0, spread, size=(per, len(c))) for c in centers]
     return np.concatenate(pts)
@@ -61,21 +68,23 @@ class TestQuantize:
     def test_nearest_and_tie_break(self):
         book = cb.Codebook("k", np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 5.0]]),
                            inertia=0.0)
-        assert cb.quantize(np.array([1.9, 0.1]), book) == 1
-        # Exactly between centroids 0 and 1: lowest index wins.
-        assert cb.quantize(np.array([1.0, 0.0]), book) == 0
+        # The second query lies exactly between centroids 0 and 1: the
+        # lowest index wins.
+        queries = np.array([[1.9, 0.1], [1.0, 0.0]])
+        assert list(cb.quantize_batch(queries, book)) == [1, 0]
+        assert [quantize(q, book) for q in queries] == [1, 0]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         book = cb.Codebook("k", rng.normal(size=(6, 3)), inertia=0.0)
         queries = rng.normal(size=(50, 3))
         batch = cb.quantize_batch(queries, book)
-        assert np.array_equal(batch, [cb.quantize(q, book) for q in queries])
+        assert np.array_equal(batch, [quantize(q, book) for q in queries])
 
     def test_dimension_mismatch(self):
         book = cb.Codebook("k", np.zeros((2, 3)), inertia=0.0)
         with pytest.raises(cb.DimensionMismatch):
-            cb.quantize(np.zeros(4), book)
+            cb.quantize_batch(np.zeros((1, 4)), book)
 
 
 class TestWindowFeature:

@@ -1,11 +1,11 @@
-"""Domain types: joints, sequences, subsets, label sets, configuration."""
+"""Domain types: sequences, subsets, label sets, configuration."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from poselang import core
+from poselang import core, ntraj
 
 
 def _seq(n=5):
@@ -14,16 +14,6 @@ def _seq(n=5):
     return core.PoseSequence(xy=xy, confidence=ones,
                              valid=ones.astype(bool), frame_rate=24.0,
                              source_id="s")
-
-
-class TestJoint:
-    def test_confidence_bounds(self):
-        core.Joint(1.0, 2.0, 0.0)
-        core.Joint(1.0, 2.0, 1.0)
-        with pytest.raises(core.ValidationError):
-            core.Joint(1.0, 2.0, 1.5)
-        with pytest.raises(core.ValidationError):
-            core.Joint(1.0, 2.0, -0.1)
 
 
 class TestPoseSequence:
@@ -59,9 +49,8 @@ class TestPoseSequence:
         new = seq.replace(xy=xy)
         assert new.n_frames == 3
         assert new.source_id == "s"
-        joints = new.pose(1)
-        assert len(joints) == core.N_JOINTS
-        assert (joints[core.NOSE].x, joints[core.NOSE].y) == (7.0, 9.0)
+        assert tuple(new.xy[1, core.NOSE]) == (7.0, 9.0)
+        assert tuple(seq.xy[1, core.NOSE]) == (0.0, 0.0)
 
 
 class TestJointSubset:
@@ -85,18 +74,20 @@ class TestJointSubset:
         xy = np.asarray(seq.xy).copy()
         xy[:, core.R_HIP] = (3.0, 4.0)
         seq = seq.replace(xy=xy)
-        view = core.joint_subset_view(seq, core.LOWER_SUBSET)
-        assert view.n_frames == 4
-        assert view.n_joints == 7
-        col = view.indices.index(core.R_HIP)
-        assert np.all(view.xy[:, col] == (3.0, 4.0))
+        # Trajectory streams project the sequence onto the subset's joints.
+        blocks = ntraj.raw_streams(seq, core.LOWER_SUBSET, (1,))
+        assert blocks["posx"].values.shape == (4, 7)
+        col = core.LOWER_SUBSET.indices.index(core.R_HIP)
+        assert blocks["posx"].scopes[col] == (core.R_HIP,)
+        assert np.all(blocks["posx"].values[:, col] == 3.0)
+        assert np.all(blocks["posy"].values[:, col] == 4.0)
 
 
 class TestLabelSet:
     def test_from_classes(self):
         lset = core.LabelSet.from_classes(["a", "b"])
         assert lset.names == ("a", "b", "background")
-        assert lset.background == "background"
+        assert lset.names[lset.background_index] == "background"
         assert lset.index("b") == 1
         with pytest.raises(core.ValidationError):
             lset.index("zzz")
@@ -158,3 +149,13 @@ class TestPipelineConfig:
         path.write_text("not_a_key=3\n")
         with pytest.raises(core.ValidationError):
             core.PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("name", ["config.txt", "labels.csv"])
+def test_text_inputs_must_be_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"knn_k=3\n\xff\n")
+    read = core.PipelineConfig.from_file if name == "config.txt" \
+        else core.load_label_sets
+    with pytest.raises(core.ValidationError, match=f"{path}: not UTF-8"):
+        read(path)

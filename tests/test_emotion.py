@@ -14,7 +14,7 @@ def _pred(upper, lower):
     n = len(upper)
     return bodylang.BodyLanguageSequence(
         clip_id="c", upper=np.array(upper), lower=np.array(lower),
-        upper_conf=np.ones(n), lower_conf=np.ones(n), window_len=6, stride=3)
+        upper_conf=np.ones(n), lower_conf=np.ones(n))
 
 
 class TestHistogramSequence:
@@ -22,24 +22,24 @@ class TestHistogramSequence:
         pred = _pred([0, 0, 1, 2, 0, 1, 1, 2], [1, 1, 1, 0, 0, 0, 2, 2])
         hist = emotion.histogram_sequence(pred, LSETS, hist_len=4, stride=2)
         # K=8, L=4, S=2 -> starts 0, 2, 4.
-        assert hist.n_steps == 3
-        assert hist.steps.shape == (3, emotion.histogram_width(LSETS))
+        assert len(hist) == 3
+        assert hist.shape == (3, emotion.histogram_width(LSETS))
         # Raw counts: each half sums to L.
-        assert np.all(hist.steps[:, :3].sum(axis=1) == 4)
-        assert np.all(hist.steps[:, 3:].sum(axis=1) == 4)
-        assert np.array_equal(hist.steps[0], [2, 1, 1, 1, 3, 0])
+        assert np.all(hist[:, :3].sum(axis=1) == 4)
+        assert np.all(hist[:, 3:].sum(axis=1) == 4)
+        assert np.array_equal(hist[0], [2, 1, 1, 1, 3, 0])
 
     def test_whole_video_when_l_exceeds_k(self):
         pred = _pred([0, 1, 2], [2, 2, 2])
         hist = emotion.histogram_sequence(pred, LSETS, hist_len=1000, stride=1)
-        assert hist.n_steps == 1
-        assert np.array_equal(hist.steps[0], [1, 1, 1, 0, 0, 3])
+        assert len(hist) == 1
+        assert np.array_equal(hist[0], [1, 1, 1, 0, 0, 3])
 
     def test_single_window_steps(self):
         pred = _pred([1, 0], [2, 1])
         hist = emotion.histogram_sequence(pred, LSETS, hist_len=1, stride=1)
-        assert hist.n_steps == 2
-        assert np.array_equal(hist.steps[0], [0, 1, 0, 0, 0, 1])
+        assert len(hist) == 2
+        assert np.array_equal(hist[0], [0, 1, 0, 0, 0, 1])
 
     def test_class_id_overflow(self):
         pred = _pred([5], [0])
@@ -61,7 +61,7 @@ def test_net_inputs_normalizes_halves():
     assert np.allclose(x.sum(axis=1), 2.0)
     assert np.allclose(x[:, :3].sum(axis=1), 1.0)
     # The raw sequence still carries counts.
-    assert hist.steps.sum() == 12
+    assert hist.sum() == 12
 
 
 class TestPredictors:

@@ -16,7 +16,6 @@ class TestMultilabel:
         assert s.precision == pytest.approx((0.5 + 1.0) / 2)
         assert s.recall == pytest.approx(1.0)
         assert s.f1 == pytest.approx((2 / 3 + 1.0) / 2)
-        assert s.as_row() == (s.accuracy, s.precision, s.recall, s.f1)
 
     def test_nhot_inputs(self):
         pred = [np.array([1, 1, 0])]

@@ -234,7 +234,7 @@ class TestNets:
                                  n_classes=4, seed=0)
         x = np.random.default_rng(0).normal(size=(3, 8, 8, 2))
         emb = net.embed(x)
-        assert emb.shape == (3, net.embedding_dim)
+        assert emb.shape == (3, net.config["channels"][-1])
         assert np.allclose(net.forward(x), emb @ net.head.W + net.head.b)
 
     def test_shape_guards(self):

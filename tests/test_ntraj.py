@@ -23,14 +23,16 @@ class TestRawStreams:
         seq = make_sequence(rng, n_frames=20)
         blocks = ntraj.raw_streams(seq, core.LOWER_SUBSET, (1, 3))
         J = len(core.LOWER_SUBSET)
-        census = ntraj.descriptor_census(J, (1, 3), ntraj.NTRAJ_PLUS)
+        census = {"posx": J, "posy": J, "pair_orient": comb(J, 2),
+                  "inner_angle": 3 * comb(J, 3)}
+        census.update({f"{k}{s}": J for k in ("dx", "dy", "angle")
+                       for s in (1, 3)})
+        assert sorted(blocks) == sorted(census)
         for key, blk in blocks.items():
             assert blk.values.shape[1] == census[key]
             assert len(blk.scopes) == census[key]
             expect_len = 20 - (blk.gap or 0)
             assert blk.values.shape[0] == expect_len
-        assert census["pair_orient"] == comb(J, 2)
-        assert census["inner_angle"] == 3 * comb(J, 3)
 
     def test_motion_values(self):
         # One joint drifting (+2, -1) per frame; everything else still.
@@ -118,22 +120,18 @@ class TestDescriptors:
                 assert ntraj.descriptor_count(n, T, blk.gap) == brute
                 assert np.array_equal(blk.start_frames, np.arange(brute))
 
+    def test_kind_without_streams(self):
+        # Two joints make one pair and no triple: the inner-angle block
+        # keeps the start frames but holds no streams.
+        seq = make_sequence(np.random.default_rng(7), n_frames=12)
+        blocks = ntraj.extract_descriptors(seq, core.JointSubset((1, 8)), 5,
+                                           (1,))
+        assert blocks["pair_orient"].values.shape == (8, 1, 5)
+        assert blocks["inner_angle"].values.shape == (8, 0, 5)
+        assert blocks["inner_angle"].scopes == []
+
     def test_too_short(self):
         rng = np.random.default_rng(5)
         seq = make_sequence(rng, n_frames=6)
         with pytest.raises(ntraj.SequenceTooShort):
             ntraj.extract_descriptors(seq, core.LOWER_SUBSET, 5, (3,))
-
-    def test_iter_descriptors_round_trip(self):
-        rng = np.random.default_rng(6)
-        seq = make_sequence(rng, n_frames=10)
-        blocks = ntraj.extract_descriptors(seq, core.LOWER_SUBSET, 5, (1,))
-        descs = list(ntraj.iter_descriptors(blocks))
-        total = sum(blk.values.shape[0] * blk.values.shape[1]
-                    for blk in blocks.values())
-        assert len(descs) == total
-        d = descs[0]
-        blk = blocks["posx"]
-        assert d.stream.kind == "posx"
-        assert np.array_equal(d.values, blk.values[0, 0])
-        assert d.degenerate == bool(blk.degenerate[0, 0])

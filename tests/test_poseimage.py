@@ -131,14 +131,3 @@ def test_batch_matches_per_window_rendering(frames, out_size):
     assert images.shape == (5,) + tuple(out_size) + (2,)
     for window, image in zip(windows, images):
         assert np.array_equal(image, _render_reference(window, out_size))
-
-
-def test_save_pgm(tmp_path):
-    values = np.zeros((2, 3, 2))
-    values[:, :, 0] = 255.0
-    poseimage.save_pgm(values, tmp_path / "img")
-    x = (tmp_path / "img_x.pgm").read_bytes()
-    y = (tmp_path / "img_y.pgm").read_bytes()
-    assert x.startswith(b"P5\n3 2\n255\n")
-    assert x.endswith(b"\xff" * 6)
-    assert y.endswith(b"\x00" * 6)

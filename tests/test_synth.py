@@ -102,7 +102,7 @@ class TestGenerateDataset:
             assert len(gt) == k
 
     def test_manifest_emotions_match_rules(self, tiny_root, tiny_ds):
-        names = synth.emotion_names()
+        names = core.EMOTION_NAMES
         spec = synth.ScenarioSpec(clips_per_split=4, noise_std=0.0,
                                   dropout_rate=0.0)
         for entry in tiny_ds.manifest.entries:
