@@ -285,12 +285,14 @@ def load_predictions(workdir: Path, feature_kind: str, split: str, ds
     return preds
 
 
-def load_split_predictions(workdir: Path, source: str, feature_kind: str, ds):
-    """Every split's stage-1 predictions for `--source pred`, else None."""
+def load_split_predictions(workdir: Path, source: str, feature_kind: str, ds,
+                           splits=SPLITS):
+    """Each of `splits`' stage-1 predictions for `--source pred`, else
+    None."""
     if source != "pred":
         return None
     return {split: load_predictions(workdir, feature_kind, split, ds)
-            for split in SPLITS}
+            for split in splits}
 
 
 # ---------------------------------------------------------------------------

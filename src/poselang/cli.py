@@ -15,7 +15,9 @@ from pathlib import Path
 import click
 
 from . import artifacts, bodylang, emotion as emomod, metrics, neural, pipeline, synth
-from .core import ADMISSIBLE_CODEBOOK_SIZES, TRACKS, PipelineConfig, PoselangError
+from .core import (ADMISSIBLE_CODEBOOK_SIZES, TRACKS, InvariantViolated,
+                   PipelineConfig, PoselangError)
+from .ingest import SPLITS
 
 # The benchmark's k-NN oracle loads stage-1 artifacts through these names.
 _load_codebooks = artifacts.load_codebooks
@@ -30,7 +32,8 @@ def handle_errors(fn):
             return fn(*args, **kwargs)
         except (PoselangError, FileNotFoundError) as exc:
             click.echo(f"error: {exc}", err=True)
-            numeric = (neural.DivergedLoss, neural.NonFiniteActivation)
+            numeric = (neural.DivergedLoss, neural.NonFiniteActivation,
+                       InvariantViolated)
             sys.exit(4 if isinstance(exc, numeric) else 3)
     return wrapper
 
@@ -228,12 +231,13 @@ def bodylang_predict(ctx, feature_kind, split):
 
 
 # ---------------------------------------------------------------------------
-def _stage2_data(ctx, hist_len, stride, source, feature_kind):
+def _stage2_data(ctx, hist_len, stride, source, feature_kind, splits):
     workdir, config, ds = _setup(ctx)
     hist_len = 10 ** 9 if hist_len == 0 else hist_len  # L=K: whole track
-    preds = artifacts.load_split_predictions(workdir, source, feature_kind, ds)
+    preds = artifacts.load_split_predictions(workdir, source, feature_kind,
+                                             ds, splits)
     return workdir, config, ds, pipeline.stage2_splits(ds, hist_len, stride,
-                                                       preds)
+                                                       preds, splits)
 
 
 _stage2_options = [
@@ -254,14 +258,12 @@ _stage2_options = [
 def _train_stage2(ctx, hist_len, stride, source, feature_kind, net_kind,
                   epochs, lr, task):
     workdir, config, ds, data = _stage2_data(ctx, hist_len, stride, source,
-                                             feature_kind)
+                                             feature_kind, SPLITS)
     spec = neural.TrainSpec(learning_rate=lr, epochs=epochs, batch_size=16,
                             seed=config.seed, loss="bce")
-    emo_net, sym_net, _ = emomod.train_stage2(
-        data["train"], data["val"], ds.label_sets, spec, net_kind,
-        patience=50)
+    net, _ = emomod.train_stage2(data["train"], data["val"], ds.label_sets,
+                                 spec, task, net_kind, patience=50)
     tag = f"{task}_{net_kind}_{source}_L{hist_len}_S{stride}"
-    net = emo_net if task == "emotion" else sym_net
     path = artifacts.save_net(artifacts.model_path(workdir, tag), net, config)
     click.echo(f"{task} model -> {path}")
     test = data["test"]
@@ -275,7 +277,7 @@ def _train_stage2(ctx, hist_len, stride, source, feature_kind, net_kind,
 
 def _predict_stage2(ctx, hist_len, stride, source, feature_kind, net_kind, task):
     workdir, config, ds, data = _stage2_data(ctx, hist_len, stride, source,
-                                             feature_kind)
+                                             feature_kind, ("test",))
     tag = f"{task}_{net_kind}_{source}_L{hist_len}_S{stride}"
     net = artifacts.load_net(artifacts.model_path(workdir, tag), config,
                              (neural.RecurrentNet, neural.Conv1DNet),

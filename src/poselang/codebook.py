@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .core import PoselangError
+from .core import InvariantViolated, PoselangError
 from .ntraj import DescriptorBlock
 
 MAX_KMEANS_ITERS = 100
@@ -86,8 +86,9 @@ def _lloyd(unique, counts, n_clusters, rng):
     for _ in range(MAX_KMEANS_ITERS):
         new_labels, d2 = _assign(unique, centroids)
         inertia = float(d2 @ weights)
-        assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia), \
-            "k-means inertia increased"
+        if inertia > prev_inertia + 1e-9 * max(1.0, prev_inertia):
+            raise InvariantViolated(f"k-means inertia increased from "
+                                    f"{prev_inertia} to {inertia}")
         prev_inertia = inertia
         if np.array_equal(new_labels, labels):
             break
@@ -166,9 +167,19 @@ def save_codebook(cb: Codebook, path, config_hash: str = "") -> None:
     }, cb.centroids)
 
 
+# Descriptors are L1-normalized, so every real centroid value lies in
+# [-1, 1]; a damaged payload can still be finite but far outside.
+CENTROID_BOUND = 1.0 + 1e-9
+
+
 def load_codebook(path, expect_config_hash: str | None = None) -> Codebook:
     header, flat = artifacts.read(path, MAGIC, expect_config_hash)
     with artifacts.fields_of(path):
-        return Codebook(stream_kind=header["kind"],
+        book = Codebook(stream_kind=header["kind"],
                         centroids=flat.reshape(header["n"], header["t"]).copy(),
                         inertia=header["inertia"], seed=header["seed"])
+    bad = flat[np.abs(flat) > CENTROID_BOUND]
+    if bad.size:
+        raise artifacts.CorruptArtifact(
+            f"{path}: centroid value {float(bad[0])} is outside [-1, 1]")
+    return book

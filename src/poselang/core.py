@@ -54,6 +54,11 @@ class ShapeMismatch(PoselangError):
     pass
 
 
+class InvariantViolated(PoselangError):
+    """An internal invariant failed: a numeric breakdown or a bug, not bad
+    input."""
+
+
 def data_lines(path):
     """(line number, stripped text) of each line of a UTF-8 text file that
     is neither blank nor a `#` comment."""

@@ -69,33 +69,52 @@ class EmotionPrediction:
     nhot: np.ndarray           # (25,) ints
 
 
-def predict_emotion(hist: np.ndarray, net) -> EmotionPrediction:
-    """Per-class sigmoid probabilities with a 0.5 presence threshold."""
-    probs = net.predict_proba(net_inputs(hist))[0]
-    if probs.shape != (N_EMOTIONS,):
-        raise neural.ShapeMismatch(f"emotion head returned {probs.shape}")
-    return EmotionPrediction(probabilities=probs,
-                             nhot=(probs >= 0.5).astype(int))
+def predict_probabilities(net, inputs) -> np.ndarray:
+    """(n, n_out) probabilities for `n` variable-length net inputs.
+
+    Clips of one length share a `predict_proba` call, whose rows have the
+    bits of scoring each clip alone.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(inputs):
+        groups.setdefault(x.shape[0], []).append(i)
+    probs = np.empty((len(inputs), net.config["n_out"]))
+    for idx in groups.values():
+        probs[idx] = net.predict_proba(np.stack([inputs[i] for i in idx]))
+    return probs
 
 
-def predict_symptom(hist: np.ndarray, net) -> float:
-    """Probability of manic episode (vs major depressive disorder)."""
-    probs = net.predict_proba(net_inputs(hist))[0]
-    if probs.shape != (1,):
-        raise neural.ShapeMismatch(f"symptom head returned {probs.shape}")
-    return float(probs[0])
+def _head_probabilities(hists, net, n_out: int, task: str) -> np.ndarray:
+    if net.config["n_out"] != n_out:
+        raise neural.ShapeMismatch(
+            f"{task} head has {net.config['n_out']} outputs, not {n_out}")
+    return predict_probabilities(net, [net_inputs(h) for h in hists])
+
+
+def predict_emotion(hists, net) -> list[EmotionPrediction]:
+    """Per-class sigmoid probabilities with a 0.5 presence threshold, one
+    prediction per histogram sequence."""
+    probs = _head_probabilities(hists, net, N_EMOTIONS, "emotion")
+    return [EmotionPrediction(probabilities=p, nhot=(p >= 0.5).astype(int))
+            for p in probs]
+
+
+def predict_symptom(hists, net) -> np.ndarray:
+    """Probability of manic episode (vs major depressive disorder) for each
+    histogram sequence."""
+    return _head_probabilities(hists, net, 1, "symptom")[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # Training
 
 def _emotion_f1(net, inputs, targets) -> float:
-    preds = [(net.predict_proba(x)[0] >= 0.5).astype(int) for x in inputs]
-    return metrics.multilabel_scores(preds, list(targets)).f1
+    return metrics.multilabel_scores(predict_probabilities(net, inputs) >= 0.5,
+                                     targets).f1
 
 
 def _binary_f1(net, inputs, targets) -> float:
-    preds = np.array([int(net.predict_proba(x)[0][0] >= 0.5) for x in inputs])
+    preds = (predict_probabilities(net, inputs)[:, 0] >= 0.5).astype(int)
     truth = np.asarray(targets).ravel().astype(int)
     tp = int(((preds == 1) & (truth == 1)).sum())
     fp = int(((preds == 1) & (truth == 0)).sum())
@@ -163,39 +182,35 @@ def train_sequence_net(net, train_inputs, train_targets, spec: neural.TrainSpec,
 
 
 def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
-                 spec: neural.TrainSpec, net_kind: str = "recurrent",
-                 hidden: int = 64, patience: int = 10):
-    """Train the emotion and symptom nets on histogram sequences.
+                 spec: neural.TrainSpec, task: str,
+                 net_kind: str = "recurrent", hidden: int = 64,
+                 patience: int = 10):
+    """Train the emotion or the symptom net on histogram sequences.
 
     `train_data`/`val_data` are lists of (histogram sequence, emotion nhot,
-    symptom label).  Emotion and symptom share the featurizer but train
-    separate nets.
+    symptom label).  The emotion net is seeded with `spec.seed` and the
+    symptom net with `spec.seed + 1`, so each is the same whichever else is
+    trained.  Returns the net (holding its best-validation parameters) and
+    a history with its loss curve and best validation F1.
     """
+    if task == "emotion":
+        n_out, seed, column, score_fn = N_EMOTIONS, spec.seed, 1, _emotion_f1
+    elif task == "symptom":
+        n_out, seed, column, score_fn = 1, spec.seed + 1, 2, _binary_f1
+    else:
+        raise PoselangError(f"unknown stage-2 task {task!r}")
     width = histogram_width(label_sets)
-
-    def make_net(n_out, seed):
-        if net_kind == "recurrent":
-            return neural.RecurrentNet(input_dim=width, hidden=hidden,
-                                       n_out=n_out, seed=seed)
-        return neural.Conv1DNet(input_dim=width, channels=hidden,
-                                n_out=n_out, seed=seed)
-
+    if net_kind == "recurrent":
+        net = neural.RecurrentNet(input_dim=width, hidden=hidden,
+                                  n_out=n_out, seed=seed)
+    else:
+        net = neural.Conv1DNet(input_dim=width, channels=hidden,
+                               n_out=n_out, seed=seed)
     train_data = list(train_data)
     tr_x = [net_inputs(d[0]) for d in train_data]
-    tr_emo = np.array([d[1] for d in train_data], dtype=np.float64)
-    tr_sym = np.array([[d[2]] for d in train_data], dtype=np.float64)
+    tr_y = np.array([d[column] for d in train_data], dtype=np.float64)
     va_x = [net_inputs(d[0]) for d in val_data]
-    va_emo = [np.asarray(d[1], dtype=int) for d in val_data]
-    va_sym = np.array([d[2] for d in val_data], dtype=int)
-
-    emo_net = make_net(N_EMOTIONS, spec.seed)
-    emo_curve, emo_val = train_sequence_net(
-        emo_net, tr_x, tr_emo, spec, va_x, va_emo, patience, _emotion_f1)
-
-    sym_net = make_net(1, spec.seed + 1)
-    sym_curve, sym_val = train_sequence_net(
-        sym_net, tr_x, tr_sym, spec, va_x, va_sym, patience, _binary_f1)
-
-    history = {"emotion_loss": emo_curve, "emotion_val_f1": emo_val,
-               "symptom_loss": sym_curve, "symptom_val_f1": sym_val}
-    return emo_net, sym_net, history
+    va_y = [np.asarray(d[column], dtype=int) for d in val_data]
+    curve, val_f1 = train_sequence_net(net, tr_x, tr_y, spec, va_x, va_y,
+                                       patience, score_fn)
+    return net, {"loss": curve, "val_f1": val_f1}

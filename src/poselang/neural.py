@@ -29,12 +29,17 @@ def _rng(seed, tag: int) -> np.random.Generator:
 
 
 def sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Both branches of the stable form take exp(-|z|), so one exp serves.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _matmul(x, W, rowwise: bool):
+    """x @ W for a (B, K) x.  With `rowwise`, the product is a stack of
+    (1, K) @ (K, N) products, so each row gets the BLAS call, and the
+    bits, of multiplying that row alone; inference uses this so a batch
+    scores each clip exactly as scoring it by itself would."""
+    return (x[:, None, :] @ W)[:, 0, :] if rowwise else x @ W
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +72,11 @@ class Dense(_Weighted):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x):
+    def forward(self, x, rowwise=False):
         if x.shape[1] != self.W.shape[0]:
             raise ShapeMismatch(f"dense input {x.shape} vs W {self.W.shape}")
         self._x = x
-        return x @ self.W + self.b
+        return _matmul(x, self.W, rowwise) + self.b
 
     def backward(self, dout):
         self.dW[...] = self._x.T @ dout
@@ -232,7 +237,7 @@ class LSTMCellStack(_Weighted):
         self.db = np.zeros_like(self.b)
         self.n_hidden = n_hidden
 
-    def forward(self, x):
+    def forward(self, x, rowwise=False):
         """x: (B, T, D) -> hidden states (B, T, H)."""
         B, T, D = x.shape
         H = self.n_hidden
@@ -242,7 +247,8 @@ class LSTMCellStack(_Weighted):
         hs = np.empty((B, T, H))
         for t in range(T):
             xt = x[:, t, :]
-            z = np.concatenate([xt, h], axis=1) @ self.W + self.b
+            z = _matmul(np.concatenate([xt, h], axis=1), self.W,
+                        rowwise) + self.b
             i = sigmoid(z[:, :H])
             f = sigmoid(z[:, H:2 * H])
             o = sigmoid(z[:, 2 * H:3 * H])
@@ -299,16 +305,16 @@ class RecurrentNet(_Net):
         self.head = Dense(hidden, n_out, _rng(seed, 1))
         self.layers = [self.cell, self.head]
 
-    def forward(self, x):
+    def forward(self, x, rowwise=False):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             x = x[None]
         if x.ndim != 3 or x.shape[2] != self.config["input_dim"]:
             raise ShapeMismatch(f"recurrent input {x.shape}")
-        hs = self.cell.forward(x)
+        hs = self.cell.forward(x, rowwise)
         self._T = hs.shape[1]
         pooled = hs.mean(axis=1)
-        return self.check_finite(self.head.forward(pooled))
+        return self.check_finite(self.head.forward(pooled, rowwise))
 
     def backward(self, dout):
         dpooled = self.head.backward(dout)
@@ -317,7 +323,9 @@ class RecurrentNet(_Net):
         return self.cell.backward(dhs / self._T)
 
     def predict_proba(self, x):
-        return sigmoid(self.forward(x))
+        """Probabilities for one (T, D) clip or a (B, T, D) batch; each
+        clip's row has the same bits as scoring it alone."""
+        return sigmoid(self.forward(x, rowwise=True))
 
 
 class Conv1DNet(_Net):
@@ -338,7 +346,7 @@ class Conv1DNet(_Net):
         self.head = Dense(channels, n_out, _rng(seed, 1))
         self.layers = [self.act, self.head]  # conv params handled directly
 
-    def forward(self, x):
+    def forward(self, x, rowwise=False):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             x = x[None]
@@ -349,13 +357,15 @@ class Conv1DNet(_Net):
         cols = np.concatenate([xp[:, :T, :], xp[:, 1:T + 1, :], xp[:, 2:T + 2, :]],
                               axis=2)
         self._cols = cols
-        conv = cols.reshape(-1, 3 * D) @ self.W + self.b
-        conv = conv.reshape(B, T, -1)
+        # Rowwise, each clip's (T, 3D) @ (3D, C) is its own product.
+        conv = cols @ self.W if rowwise \
+            else (cols.reshape(-1, 3 * D) @ self.W).reshape(B, T, -1)
+        conv += self.b
         act = self.act.forward(conv)
         self._argmax = act.argmax(axis=1)          # (B, C)
         self._act_shape = act.shape
         pooled = np.take_along_axis(act, self._argmax[:, None, :], axis=1)[:, 0, :]
-        return self.check_finite(self.head.forward(pooled))
+        return self.check_finite(self.head.forward(pooled, rowwise))
 
     def backward(self, dout):
         dpooled = self.head.backward(dout)
@@ -375,7 +385,9 @@ class Conv1DNet(_Net):
         return dxp[:, 1:-1, :]
 
     def predict_proba(self, x):
-        return sigmoid(self.forward(x))
+        """Probabilities for one (T, D) clip or a (B, T, D) batch; each
+        clip's row has the same bits as scoring it alone."""
+        return sigmoid(self.forward(x, rowwise=True))
 
     def params(self):
         return [self.W, self.b] + self.head.params()

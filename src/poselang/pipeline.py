@@ -314,12 +314,13 @@ def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int,
     return data
 
 
-def stage2_splits(ds: Dataset, hist_len: int, stride: int, preds=None):
-    """`stage2_data` for every split; `preds` maps each split to its
+def stage2_splits(ds: Dataset, hist_len: int, stride: int, preds=None,
+                  splits=ingest.SPLITS):
+    """`stage2_data` for each of `splits`; `preds` maps each split to its
     stage-1 predictions, or is None for ground-truth sequences."""
     return {split: stage2_data(ds, split, hist_len, stride,
                                None if preds is None else preds[split])
-            for split in ingest.SPLITS}
+            for split in splits}
 
 
 def predict_stage2(ds: Dataset, net, test_data, task: str):
@@ -327,20 +328,20 @@ def predict_stage2(ds: Dataset, net, test_data, task: str):
     predict = emotion.predict_emotion if task == "emotion" \
         else emotion.predict_symptom
     entries = sorted(ds.manifest.split("test"), key=lambda e: e.clip_id)
-    return [(e.clip_id, predict(hist, net))
-            for e, (hist, _, _) in zip(entries, test_data)]
+    return list(zip((e.clip_id for e in entries),
+                    predict([hist for hist, _, _ in test_data], net)))
 
 
 def evaluate_stage2_emotion(net, data) -> metrics.MultilabelScores:
-    preds = [emotion.predict_emotion(h, net).nhot for h, _, _ in data]
+    preds = emotion.predict_emotion([h for h, _, _ in data], net)
     truth = [e for _, e, _ in data]
-    return metrics.multilabel_scores(preds, truth)
+    return metrics.multilabel_scores([p.nhot for p in preds], truth)
 
 
 def evaluate_stage2_symptom(net, data) -> float:
-    preds = [int(emotion.predict_symptom(h, net) >= 0.5) for h, _, _ in data]
+    probs = emotion.predict_symptom([h for h, _, _ in data], net)
     truth = [s for _, _, s in data]
-    return metrics.binary_accuracy(preds, truth)
+    return metrics.binary_accuracy((probs >= 0.5).astype(int), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +370,9 @@ def sweep_histogram_window(ds: Dataset, preds=None) -> list[str]:
         data = stage2_splits(ds, L, S, preds)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=400,
                                 batch_size=16, seed=config.seed, loss="bce")
-        emo_net, _, _ = emotion.train_stage2(
-            data["train"], data["val"], ds.label_sets, spec, patience=50)
+        emo_net, _ = emotion.train_stage2(
+            data["train"], data["val"], ds.label_sets, spec, "emotion",
+            patience=50)
         s = evaluate_stage2_emotion(emo_net, data["test"])
         lines.append(f"{L},{S},{s.accuracy:.6f},{s.precision:.6f},"
                      f"{s.recall:.6f},{s.f1:.6f}")

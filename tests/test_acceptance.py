@@ -408,10 +408,10 @@ def test_criterion_7_histogram_window_ordering():
         def mk(part):
             return [(emotion.histogram_sequence(noisy, lsets, L, S), emo, 0)
                     for _, noisy, emo in splits[part]]
-        emo_net, _, _ = emotion.train_stage2(mk("train"), mk("val"), lsets,
-                                             STAGE2_SPEC, patience=50)
-        preds = [emotion.predict_emotion(h, emo_net).nhot
-                 for h, _, _ in mk("test")]
+        emo_net, _ = emotion.train_stage2(mk("train"), mk("val"), lsets,
+                                          STAGE2_SPEC, "emotion", patience=50)
+        preds = [p.nhot for p in emotion.predict_emotion(
+            [h for h, _, _ in mk("test")], emo_net)]
         truth = [emo for _, _, emo in splits["test"]]
         f1[(L, S)] = metrics.multilabel_scores(preds, truth).f1
     f73, fK, f11 = f1[(7, 3)], f1[(10 ** 9, 1)], f1[(1, 1)]
@@ -432,9 +432,9 @@ def test_criterion_8_symptom_gt_vs_predicted(stage2_env):
         data = {split: pipeline.stage2_data(ds, split, ds.config.emo_hist_len,
                                             ds.config.emo_hist_stride, src)
                 for split in ("train", "val", "test")}
-        _, sym_net, _ = emotion.train_stage2(data["train"], data["val"],
-                                             ds.label_sets, STAGE2_SPEC,
-                                             patience=50)
+        sym_net, _ = emotion.train_stage2(data["train"], data["val"],
+                                          ds.label_sets, STAGE2_SPEC,
+                                          "symptom", patience=50)
         accs[name] = pipeline.evaluate_stage2_symptom(sym_net, data["test"])
     ok = accs["gt"] >= 0.90 and accs["pred"] < accs["gt"]
     report(8, ok, f"symptom accuracy gt {accs['gt']:.3f} >= 0.90, "

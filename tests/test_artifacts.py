@@ -156,13 +156,15 @@ def _damage(data: bytes, kind: str):
         return data[:-8]
     if kind == "unknown kind":
         return data.replace(b'"kind": "recurrent"', b'"kind": "bogus"')
+    if kind == "huge centroid":  # finite, but quantizing against it overflows
+        return data[:-8] + np.array([1e300], "<f8").tobytes()
     return b"\x00garbage\xff" * 20
 
 
 @pytest.mark.parametrize("relpath,kind", [
     (CODEBOOK, "cut header"), (CODEBOOK, "short body"),
-    (CODEBOOK, "garbage"), (MODEL, "unknown kind"), (MODEL, "short body"),
-    (STORE, "garbage")])
+    (CODEBOOK, "garbage"), (CODEBOOK, "huge centroid"),
+    (MODEL, "unknown kind"), (MODEL, "short body"), (STORE, "garbage")])
 def test_damaged_artifact_exits_3(runner, workdir, relpath, kind):
     path = workdir / relpath
     with replaced(path, _damage(path.read_bytes(), kind)):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poselang import artifacts, bodylang, cli, core, ingest, pipeline
+from poselang import (artifacts, bodylang, cli, core, emotion, ingest,
+                      pipeline)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,16 @@ class TestErrors:
         invoke(runner, workdir, "emotion", "train", "--source", "pred",
                "--epochs", "1", expect=3)
 
+    def test_internal_invariant_exits_4(self, capsys):
+        @cli.handle_errors
+        def fails():
+            raise core.InvariantViolated("k-means inertia increased")
+
+        with pytest.raises(SystemExit) as exit_:
+            fails()
+        assert exit_.value.code == 4
+        assert "error: k-means inertia increased" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def stage2_workdir(tmp_path_factory, runner):
@@ -119,6 +130,21 @@ def stage2_workdir(tmp_path_factory, runner):
            "--clips-per-split", "3")
     shutil.rmtree(wd / "dataset" / "clips")
     return wd
+
+
+def _write_gt_predictions(workdir, splits):
+    """Ground-truth window labels as the ntraj+ stage-1 predictions of
+    `splits`."""
+    ds = pipeline.load_dataset(workdir / "dataset" / "manifest.csv",
+                               core.PipelineConfig())
+    out = workdir / "predictions" / "ntraj+"
+    out.mkdir(parents=True, exist_ok=True)
+    for split in splits:
+        lines = ["# ground truth as predictions"]
+        for entry in ds.manifest.split(split):
+            lines.extend(artifacts.prediction_rows(
+                pipeline.gt_sequence(ds, entry.clip_id), ds.label_sets))
+        (out / f"{split}.csv").write_text("\n".join(lines) + "\n")
 
 
 class TestStage2WithoutClips:
@@ -131,18 +157,38 @@ class TestStage2WithoutClips:
                 if not l.startswith("#")]
         assert len(rows) == 3
 
+    def test_train_fits_only_its_head(self, runner, stage2_workdir,
+                                      monkeypatch):
+        heads = []
+        train = emotion.train_sequence_net
+
+        def counting(net, *args, **kwargs):
+            heads.append(net.config["n_out"])
+            return train(net, *args, **kwargs)
+
+        monkeypatch.setattr(emotion, "train_sequence_net", counting)
+        invoke(runner, stage2_workdir, "emotion", "train", "--epochs", "2")
+        assert heads == [emotion.N_EMOTIONS]
+
     def test_eval_bodylang(self, runner, stage2_workdir):
-        ds = pipeline.load_dataset(
-            stage2_workdir / "dataset" / "manifest.csv", core.PipelineConfig())
-        lines = ["# ground truth as predictions"]
-        for entry in ds.manifest.split("test"):
-            lines.extend(artifacts.prediction_rows(
-                pipeline.gt_sequence(ds, entry.clip_id), ds.label_sets))
-        out = stage2_workdir / "predictions" / "ntraj+"
-        out.mkdir(parents=True)
-        (out / "test.csv").write_text("\n".join(lines) + "\n")
+        _write_gt_predictions(stage2_workdir, ["test"])
         result = invoke(runner, stage2_workdir, "eval", "--task", "bodylang")
         assert "overall 1.000" in result.output
+
+    def test_predict_reads_only_test_predictions(self, runner,
+                                                 stage2_workdir, tmp_path):
+        shutil.copytree(stage2_workdir / "dataset", tmp_path / "dataset")
+        _write_gt_predictions(tmp_path, ingest.SPLITS)
+        args = ("--source", "pred")
+        invoke(runner, tmp_path, "symptom", "train", "--epochs", "2", *args)
+        invoke(runner, tmp_path, "symptom", "predict", *args)
+        out = tmp_path / "predictions" / "symptom_recurrent_pred_L7_S3.csv"
+        written = out.read_bytes()
+        out.unlink()
+        for split in ("train", "val"):
+            (tmp_path / "predictions" / "ntraj+" / f"{split}.csv").unlink()
+        invoke(runner, tmp_path, "symptom", "predict", *args)
+        assert out.read_bytes() == written
 
     @pytest.mark.parametrize("args", [
         ("emotion", "train", "--S", "0", "--epochs", "1"),

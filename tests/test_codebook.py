@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poselang import codebook as cb
+from poselang import codebook as cb, core
 from poselang.ntraj import DescriptorBlock
 
 
@@ -53,6 +53,21 @@ class TestKMeans:
         pts = np.tile([[1.0, 2.0], [3.0, 4.0]], (10, 1))
         with pytest.raises(cb.TooFewPoints):
             cb.kmeans_restarts(pts, 3, restarts=2, seed=0)
+
+    def test_rising_inertia_is_an_internal_error(self, monkeypatch):
+        # Lloyd's inertia never rises; inflate each distance pass to force it.
+        assign, passes = cb._assign, []
+
+        def inflated(points, centroids):
+            labels, d2 = assign(points, centroids)
+            passes.append(1)
+            return labels, d2 * 10.0 ** len(passes)
+
+        monkeypatch.setattr(cb, "_assign", inflated)
+        pts = np.random.default_rng(5).normal(size=(30, 2))
+        with pytest.raises(core.InvariantViolated,
+                           match="k-means inertia increased"):
+            cb.kmeans_restarts(pts, 3, restarts=1, seed=0)
 
     def test_inertia_is_true_cost(self):
         rng = np.random.default_rng(4)
@@ -127,8 +142,8 @@ class TestWindowFeature:
 class TestArtifacts:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        book = cb.Codebook("dx1", rng.normal(size=(4, 5)), inertia=1.25,
-                           seed=9)
+        book = cb.Codebook("dx1", rng.uniform(-1.0, 1.0, size=(4, 5)),
+                           inertia=1.25, seed=9)
         path = tmp_path / "dx1.cbk"
         cb.save_codebook(book, path, config_hash="abc123")
         back = cb.load_codebook(path, expect_config_hash="abc123")

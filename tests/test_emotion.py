@@ -65,27 +65,46 @@ def test_net_inputs_normalizes_halves():
 
 
 class TestPredictors:
-    def _hist(self):
-        return emotion.histogram_sequence(_pred([0, 1], [1, 0]), LSETS, 2, 1)
+    def _hists(self):
+        return [emotion.histogram_sequence(_pred(up, lo), LSETS, 2, 1)
+                for up, lo in (([0, 1], [1, 0]), ([1, 1, 0], [0, 2, 2]),
+                               ([2, 0], [1, 1]))]
 
     def test_predict_emotion(self):
         net = neural.RecurrentNet(input_dim=6, hidden=4,
                                   n_out=emotion.N_EMOTIONS, seed=0)
-        pred = emotion.predict_emotion(self._hist(), net)
-        assert pred.probabilities.shape == (emotion.N_EMOTIONS,)
-        assert np.array_equal(pred.nhot, (pred.probabilities >= 0.5).astype(int))
+        preds = emotion.predict_emotion(self._hists(), net)
+        assert len(preds) == 3
+        for pred in preds:
+            assert pred.probabilities.shape == (emotion.N_EMOTIONS,)
+            assert np.array_equal(pred.nhot,
+                                  (pred.probabilities >= 0.5).astype(int))
 
     def test_predict_symptom(self):
         net = neural.RecurrentNet(input_dim=6, hidden=4, n_out=1, seed=0)
-        p = emotion.predict_symptom(self._hist(), net)
-        assert 0.0 <= p <= 1.0
+        p = emotion.predict_symptom(self._hists(), net)
+        assert p.shape == (3,)
+        assert np.all((0.0 <= p) & (p <= 1.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda n_out: neural.RecurrentNet(6, 4, n_out=n_out, seed=1),
+        lambda n_out: neural.Conv1DNet(6, 4, n_out=n_out, seed=1)])
+    def test_grouped_scoring_matches_one_clip_at_a_time(self, make):
+        hists = self._hists()
+        for n_out in (1, emotion.N_EMOTIONS):
+            net = make(n_out)
+            probs = emotion.predict_probabilities(
+                net, [emotion.net_inputs(h) for h in hists])
+            alone = [net.predict_proba(emotion.net_inputs(h))[0]
+                     for h in hists]
+            assert np.array_equal(probs, np.array(alone))
 
     def test_head_shape_guard(self):
         net = neural.RecurrentNet(input_dim=6, hidden=4, n_out=3, seed=0)
         with pytest.raises(neural.ShapeMismatch):
-            emotion.predict_emotion(self._hist(), net)
+            emotion.predict_emotion(self._hists(), net)
         with pytest.raises(neural.ShapeMismatch):
-            emotion.predict_symptom(self._hist(), net)
+            emotion.predict_symptom(self._hists(), net)
 
 
 class TestTraining:
@@ -109,16 +128,26 @@ class TestTraining:
         train, val = self._toy_data(rng, 32), self._toy_data(rng, 16)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=60, batch_size=8,
                                 seed=0, loss="bce")
-        emo_net, sym_net, hist = emotion.train_stage2(
-            train, val, LSETS, spec, patience=20)
-        assert set(hist) == {"emotion_loss", "emotion_val_f1",
-                             "symptom_loss", "symptom_val_f1"}
-        assert hist["symptom_val_f1"] > 0.9
+        sym_net, hist = emotion.train_stage2(train, val, LSETS, spec,
+                                             "symptom", patience=20)
+        assert set(hist) == {"loss", "val_f1"}
+        assert hist["val_f1"] > 0.9
         test = self._toy_data(np.random.default_rng(1), 16)
-        correct = sum(
-            int(emotion.predict_symptom(h, sym_net) >= 0.5) == s
-            for h, _, s in test)
+        probs = emotion.predict_symptom([h for h, _, _ in test], sym_net)
+        correct = sum(int(p >= 0.5) == s for p, (_, _, s) in zip(probs, test))
         assert correct / len(test) > 0.85
+
+    def test_trains_only_the_requested_head(self):
+        rng = np.random.default_rng(3)
+        train, val = self._toy_data(rng, 12), self._toy_data(rng, 6)
+        spec = neural.TrainSpec(learning_rate=0.5, epochs=4, batch_size=8,
+                                seed=5, loss="bce")
+        emo, _ = emotion.train_stage2(train, val, LSETS, spec, "emotion")
+        sym, _ = emotion.train_stage2(train, val, LSETS, spec, "symptom")
+        assert emo.seed == 5 and emo.config["n_out"] == emotion.N_EMOTIONS
+        assert sym.seed == 6 and sym.config["n_out"] == 1
+        with pytest.raises(core.PoselangError, match="unknown stage-2 task"):
+            emotion.train_stage2(train, val, LSETS, spec, "mood")
 
     def test_early_stopping_restores_best(self):
         rng = np.random.default_rng(2)

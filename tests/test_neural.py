@@ -96,8 +96,43 @@ def _col2im_reference(dcols, shape):
     return dxp[:, 1:-1, 1:-1, :]
 
 
+def _masked_sigmoid_reference(z):
+    """The two-exp sigmoid `neural.sigmoid` replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestBitExactRewrites:
     """The layer rewrites keep every result bit for bit."""
+
+    def test_sigmoid_matches_masked_reference(self):
+        rng = np.random.default_rng(8)
+        edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7,
+                         -36.7, 745.2, -745.2, 800.0, -800.0, np.inf,
+                         -np.inf])
+        for z in (edge, rng.normal(0.0, 10.0, size=(1, 256)),
+                  rng.normal(0.0, 50.0, size=(32, 256)),
+                  rng.standard_cauchy(size=(7, 5))):
+            out = neural.sigmoid(z)
+            assert out.tobytes() == _masked_sigmoid_reference(z).tobytes()
+
+    @pytest.mark.parametrize("n_out", [25, 1])
+    @pytest.mark.parametrize("cls", [neural.RecurrentNet, neural.Conv1DNet])
+    def test_batched_predict_proba_matches_per_clip(self, cls, n_out):
+        rng = np.random.default_rng(n_out)
+        net = cls(12, 16, n_out=n_out, seed=3)
+        for p in net.params():
+            p[...] = rng.normal(0.0, 0.7, size=p.shape)
+        for T in range(1, 10):
+            xs = rng.random((11, T, 12))
+            alone = [net.predict_proba(x) for x in xs]
+            assert np.array_equal(net.predict_proba(xs), np.concatenate(alone))
+            # One clip scores as the training forward computes it.
+            assert np.array_equal(alone[0], neural.sigmoid(net.forward(xs[0])))
 
     @pytest.mark.parametrize("shape", [(4, 32, 32, 2), (3, 16, 16, 8),
                                        (2, 5, 6, 3), (1, 1, 1, 1)])
