@@ -168,7 +168,7 @@ def encoder_train(ctx, epochs, lr):
     workdir, config, ds = _setup(ctx)
     for track in TRACKS:
         spec = neural.TrainSpec(learning_rate=lr, epochs=epochs,
-                                seed=config.seed, loss="softmax")
+                                seed=config.seed)
         enc = pipeline.train_encoder(ds, track, spec)
         path = artifacts.save_net(artifacts.encoder_path(workdir, track),
                                   enc, config)
@@ -260,7 +260,7 @@ def _train_stage2(ctx, hist_len, stride, source, feature_kind, net_kind,
     workdir, config, ds, data = _stage2_data(ctx, hist_len, stride, source,
                                              feature_kind, SPLITS)
     spec = neural.TrainSpec(learning_rate=lr, epochs=epochs, batch_size=16,
-                            seed=config.seed, loss="bce")
+                            seed=config.seed)
     net, _ = emomod.train_stage2(data["train"], data["val"], ds.label_sets,
                                  spec, task, net_kind, patience=50)
     tag = f"{task}_{net_kind}_{source}_L{hist_len}_S{stride}"
@@ -353,7 +353,8 @@ def sweep_cmd(ctx, axis, source, feature_kind):
         lines = pipeline.sweep_feature(ds, {
             kind: artifacts.load_predictions(workdir, kind, "test", ds)
             for kind in (bodylang.FEATURE_NTRAJ_PLUS, bodylang.FEATURE_STCONV)})
-    path = artifacts.write_table(workdir, f"sweep_{axis}.csv",
+    suffix = "_pred" if axis == "LS" and source == "pred" else ""
+    path = artifacts.write_table(workdir, f"sweep_{axis}{suffix}.csv",
                                  "\n".join(lines) + "\n")
     click.echo("\n".join(lines))
     click.echo(f"-> {path}")

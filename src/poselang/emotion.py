@@ -113,72 +113,33 @@ def _emotion_f1(net, inputs, targets) -> float:
                                      targets).f1
 
 
-def _binary_f1(net, inputs, targets) -> float:
-    preds = (predict_probabilities(net, inputs)[:, 0] >= 0.5).astype(int)
-    truth = np.asarray(targets).ravel().astype(int)
-    tp = int(((preds == 1) & (truth == 1)).sum())
-    fp = int(((preds == 1) & (truth == 0)).sum())
-    fn = int(((preds == 0) & (truth == 1)).sum())
-    if tp == 0:
-        return 0.0
-    prec = tp / (tp + fp)
-    rec = tp / (tp + fn)
-    return 2 * prec * rec / (prec + rec)
+def _symptom_f1(net, inputs, targets) -> float:
+    return metrics.binary_f1(predict_probabilities(net, inputs)[:, 0] >= 0.5,
+                             targets)
 
 
 def train_sequence_net(net, train_inputs, train_targets, spec: neural.TrainSpec,
-                       val_inputs=None, val_targets=None, patience: int = 10,
-                       score_fn=None):
-    """SGD with momentum over variable-length sequences; early stopping on
-    the validation score with the given patience.  Returns (loss curve,
-    best validation score or None); the net holds the best parameters.
+                       val_inputs, val_targets, patience: int, score_fn):
+    """`neural.epochs` with early stopping: after each epoch the net is
+    scored on the validation split, and training stops once the score has
+    not improved for more than `patience` epochs.  Returns (loss curve,
+    best validation score); the net holds the best parameters.
     """
-    opt = neural.SGD(net.params(), spec.learning_rate, spec.momentum)
-    rng = np.random.default_rng((spec.seed, 7))
-    targets = np.asarray(train_targets, dtype=np.float64)
-    n = len(train_inputs)
     curve = []
-    best_score = -np.inf
-    best_params = None
-    stale = 0
-    use_val = val_inputs is not None and score_fn is not None
-    for epoch in range(spec.epochs):
-        total, count = 0.0, 0
-        order = rng.permutation(n)
-        for i in range(0, n, spec.batch_size):
-            idx = order[i:i + spec.batch_size]
-            groups: dict[int, list[int]] = {}
-            for j in idx:
-                groups.setdefault(train_inputs[j].shape[0], []).append(j)
-            for _, group in sorted(groups.items()):
-                sub = np.array(group)
-                x = np.stack([train_inputs[j] for j in sub])
-                y = targets[sub]
-                if y.ndim == 1:
-                    y = y[:, None]
-                logits = net.forward(x)
-                loss, dlogits = neural.bce_with_logits(logits, y)
-                if not np.isfinite(loss):
-                    raise neural.DivergedLoss(f"loss diverged at epoch {epoch}")
-                net.backward(dlogits)
-                opt.step(net.grads())
-                total += loss * len(sub)
-                count += len(sub)
-        curve.append(total / count)
-        if use_val:
-            score = score_fn(net, val_inputs, val_targets)
-            if score > best_score + 1e-12:
-                best_score = score
-                best_params = [p.copy() for p in net.params()]
-                stale = 0
-            else:
-                stale += 1
-                if stale > patience:
-                    break
-    if best_params is not None:
-        for p, bp in zip(net.params(), best_params):
-            p[...] = bp
-    return curve, (best_score if use_val else None)
+    best_score, best_params, stale = -np.inf, None, 0
+    for loss in neural.epochs(net, train_inputs, train_targets, spec):
+        curve.append(loss)
+        score = score_fn(net, val_inputs, val_targets)
+        if score > best_score + 1e-12:
+            best_score, stale = score, 0
+            best_params = [p.copy() for p in net.params()]
+        else:
+            stale += 1
+            if stale > patience:
+                break
+    for p, bp in zip(net.params(), best_params):
+        p[...] = bp
+    return curve, best_score
 
 
 def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
@@ -196,7 +157,7 @@ def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
     if task == "emotion":
         n_out, seed, column, score_fn = N_EMOTIONS, spec.seed, 1, _emotion_f1
     elif task == "symptom":
-        n_out, seed, column, score_fn = 1, spec.seed + 1, 2, _binary_f1
+        n_out, seed, column, score_fn = 1, spec.seed + 1, 2, _symptom_f1
     else:
         raise PoselangError(f"unknown stage-2 task {task!r}")
     width = histogram_width(label_sets)
@@ -206,9 +167,9 @@ def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
     else:
         net = neural.Conv1DNet(input_dim=width, channels=hidden,
                                n_out=n_out, seed=seed)
-    train_data = list(train_data)
     tr_x = [net_inputs(d[0]) for d in train_data]
-    tr_y = np.array([d[column] for d in train_data], dtype=np.float64)
+    tr_y = np.array([d[column] for d in train_data],
+                    dtype=np.float64).reshape(-1, n_out)
     va_x = [net_inputs(d[0]) for d in val_data]
     va_y = [np.asarray(d[column], dtype=int) for d in val_data]
     curve, val_f1 = train_sequence_net(net, tr_x, tr_y, spec, va_x, va_y,

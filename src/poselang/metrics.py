@@ -57,15 +57,31 @@ def multilabel_scores(pred, truth) -> MultilabelScores:
     return MultilabelScores(*(float(np.mean(col)) for col in zip(*rows)))
 
 
-def binary_accuracy(pred, truth) -> float:
-    """Fraction of exact matches."""
+def _paired(pred, truth):
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise LengthMismatch(f"{pred.shape} vs {truth.shape}")
     if pred.size == 0:
         raise LengthMismatch("no samples")
+    return pred, truth
+
+
+def binary_accuracy(pred, truth) -> float:
+    """Fraction of exact matches."""
+    pred, truth = _paired(pred, truth)
     return float((pred == truth).mean())
+
+
+def binary_f1(pred, truth) -> float:
+    """F1 of the positive class (label 1); 0 when there is no true positive."""
+    pred, truth = _paired(pred, truth)
+    pos, true = pred == 1, truth == 1
+    tp = int((pos & true).sum())
+    if tp == 0:
+        return 0.0
+    prec, rec = tp / int(pos.sum()), tp / int(true.sum())
+    return 2 * prec * rec / (prec + rec)
 
 
 def scores_csv(rows: dict[str, MultilabelScores]) -> str:

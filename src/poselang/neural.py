@@ -416,12 +416,11 @@ def softmax_cross_entropy(logits, labels):
 
 def bce_with_logits(logits, targets):
     """Per-class binary cross entropy, averaged over batch and classes."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ShapeMismatch(f"targets {targets.shape} vs logits {logits.shape}")
-    z, y = logits, targets
+    z, y = logits, np.asarray(targets, dtype=np.float64)
+    if y.shape != z.shape:
+        raise ShapeMismatch(f"targets {y.shape} vs logits {z.shape}")
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    dlogits = (sigmoid(z) - y) / logits.size
+    dlogits = (sigmoid(z) - y) / z.size
     return loss.mean(), dlogits
 
 
@@ -435,7 +434,6 @@ class TrainSpec:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    loss: str = "softmax"  # or "bce"
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -444,13 +442,11 @@ class TrainSpec:
             raise PoselangError("epochs must be >= 1")
 
 
-_LOSSES = {"softmax": softmax_cross_entropy, "bce": bce_with_logits}
-
-
-def _loss_fn(kind):
-    if kind not in _LOSSES:
-        raise PoselangError(f"unknown loss {kind!r}")
-    return _LOSSES[kind]
+def loss_for(targets):
+    """Softmax cross entropy for integer class ids; for float targets, one
+    0/1 column per output, binary cross entropy."""
+    integer = np.issubdtype(np.asarray(targets).dtype, np.integer)
+    return softmax_cross_entropy if integer else bce_with_logits
 
 
 class SGD:
@@ -467,74 +463,60 @@ class SGD:
             p += v
 
 
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        yield order[i:i + batch_size]
+def epochs(net, inputs, targets, spec: TrainSpec):
+    """Mini-batch SGD with momentum; yields each epoch's mean loss.
 
-
-def train(net, inputs, targets, spec: TrainSpec):
-    """Mini-batch SGD with momentum; returns the per-epoch mean loss curve.
-
-    `inputs` is either one stacked array or a list of per-sample arrays
-    (variable-length sequences are grouped into equal-length sub-batches).
+    `inputs` is one stacked array or a list of per-sample arrays.  Each
+    mini-batch splits into sub-batches of equal-length samples, shortest
+    first; the rows of a stacked array form one.
     """
-    loss_fn = _loss_fn(spec.loss)
+    targets = np.asarray(targets)
+    loss_fn = loss_for(targets)
     opt = SGD(net.params(), spec.learning_rate, spec.momentum)
     rng = _rng(spec.seed, 7)
-    is_list = isinstance(inputs, list)
     n = len(inputs)
-    curve = []
     for epoch in range(spec.epochs):
-        total, count = 0.0, 0
-        for idx in _batches(n, spec.batch_size, rng):
-            if is_list:
-                groups: dict[int, list[int]] = {}
-                for i in idx:
-                    groups.setdefault(inputs[i].shape[0], []).append(i)
-                sub_batches = [np.array(g) for _, g in sorted(groups.items())]
-            else:
-                sub_batches = [idx]
-            for sub in sub_batches:
-                x = np.stack([inputs[i] for i in sub]) if is_list else inputs[sub]
-                y = targets[sub]
-                logits = net.forward(x)
-                loss, dlogits = loss_fn(logits, y)
+        total = 0.0
+        order = rng.permutation(n)
+        for i in range(0, n, spec.batch_size):
+            groups: dict[int, list[int]] = {}
+            for j in order[i:i + spec.batch_size]:
+                groups.setdefault(inputs[j].shape[0], []).append(j)
+            for _, sub in sorted(groups.items()):
+                logits = net.forward(np.stack([inputs[j] for j in sub]))
+                loss, dlogits = loss_fn(logits, targets[sub])
                 if not np.isfinite(loss):
                     raise DivergedLoss(f"loss diverged at epoch {epoch}")
                 net.backward(dlogits)
                 opt.step(net.grads())
                 total += loss * len(sub)
-                count += len(sub)
-        curve.append(total / count)
-    return curve
+        yield total / n
+
+
+def train(net, inputs, targets, spec: TrainSpec):
+    """Train for `spec.epochs` epochs; returns the per-epoch loss curve."""
+    return list(epochs(net, inputs, targets, spec))
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference gradient checking
 
-def gradient_check(net, x, y, loss_kind: str, h: float = 1e-5) -> float:
+def gradient_check(net, x, y, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    loss_fn = _loss_fn(loss_kind)
-
-    def compute_loss():
-        logits = net.forward(x)
-        return loss_fn(logits, y)
-
-    loss, dlogits = compute_loss()
+    loss_fn = loss_for(y)
+    _, dlogits = loss_fn(net.forward(x), y)
     net.backward(dlogits)
     analytic = [g.copy() for g in net.grads()]
 
     worst = 0.0
     for p, g in zip(net.params(), analytic):
-        flat = p.ravel()
-        gflat = g.ravel()
+        flat, gflat = p.ravel(), g.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = compute_loss()
+            lp, _ = loss_fn(net.forward(x), y)
             flat[i] = orig - h
-            lm, _ = compute_loss()
+            lm, _ = loss_fn(net.forward(x), y)
             flat[i] = orig
             numeric = (lp - lm) / (2 * h)
             denom = max(abs(numeric) + abs(gflat[i]), 1e-8)

@@ -369,7 +369,7 @@ def sweep_histogram_window(ds: Dataset, preds=None) -> list[str]:
                  (K, K)):
         data = stage2_splits(ds, L, S, preds)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=400,
-                                batch_size=16, seed=config.seed, loss="bce")
+                                batch_size=16, seed=config.seed)
         emo_net, _ = emotion.train_stage2(
             data["train"], data["val"], ds.label_sets, spec, "emotion",
             patience=50)
@@ -385,7 +385,7 @@ def sweep_data_fraction(ds: Dataset) -> list[str]:
     lines = ["fraction,track,window_accuracy"]
     train_ids = sorted(e.clip_id for e in ds.manifest.split("train"))
     spec = neural.TrainSpec(learning_rate=0.05, epochs=90,
-                            seed=ds.config.seed, loss="softmax")
+                            seed=ds.config.seed)
     accs = {}
     for frac in (1.0, 0.5, 0.2):
         ids = train_ids[:max(1, int(round(frac * len(train_ids))))]

@@ -63,7 +63,7 @@ def _train_encoders(ds, clip_ids=None):
     encoders = {}
     for track in ("upper", "lower"):
         spec = neural.TrainSpec(learning_rate=0.05, epochs=90, batch_size=32,
-                                seed=ds.config.seed, loss="softmax")
+                                seed=ds.config.seed)
         encoders[track] = pipeline.train_encoder(ds, track, spec, clip_ids)
     return encoders
 
@@ -85,7 +85,7 @@ def stconv_eval(default_env):
 
 
 STAGE2_SPEC = neural.TrainSpec(learning_rate=0.5, momentum=0.9, epochs=400,
-                               batch_size=16, seed=0, loss="bce")
+                               batch_size=16, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -341,19 +341,19 @@ def test_criterion_5_gradient_checks():
         x = rng.normal(size=(2, 8, 8, 2))
         y = rng.integers(0, 2, size=2)
         worst["conv_encoder"] = max(worst["conv_encoder"],
-                                    neural.gradient_check(enc, x, y, "softmax"))
+                                    neural.gradient_check(enc, x, y))
 
         rec = neural.RecurrentNet(input_dim=3, hidden=4, n_out=2, seed=seed)
         x = rng.normal(size=(2, 5, 3))
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
         worst["recurrent"] = max(worst["recurrent"],
-                                 neural.gradient_check(rec, x, y, "bce"))
+                                 neural.gradient_check(rec, x, y))
 
         c1d = neural.Conv1DNet(input_dim=3, channels=4, n_out=2, seed=seed)
         x = make_pool_safe_batch(rng, (2, 6, 3), c1d)
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
         worst["conv1d"] = max(worst["conv1d"],
-                              neural.gradient_check(c1d, x, y, "bce"))
+                              neural.gradient_check(c1d, x, y))
     elapsed = time.perf_counter() - t0
     peak = max(worst.values())
     ok = peak < 1e-4 and elapsed < 60.0

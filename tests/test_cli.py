@@ -190,6 +190,21 @@ class TestStage2WithoutClips:
         invoke(runner, tmp_path, "symptom", "predict", *args)
         assert out.read_bytes() == written
 
+    def test_histogram_sweep_keeps_one_table_per_source(self, runner,
+                                                         stage2_workdir,
+                                                         tmp_path):
+        shutil.copytree(stage2_workdir / "dataset", tmp_path / "dataset")
+        _write_gt_predictions(tmp_path, ingest.SPLITS)
+        invoke(runner, tmp_path, "sweep", "--axis", "LS")
+        gt_table = (tmp_path / "metrics" / "sweep_LS.csv").read_bytes()
+        result = invoke(runner, tmp_path, "sweep", "--axis", "LS",
+                        "--source", "pred")
+        pred_path = tmp_path / "metrics" / "sweep_LS_pred.csv"
+        assert f"-> {pred_path}" in result.output
+        assert (tmp_path / "metrics" / "sweep_LS.csv").read_bytes() == gt_table
+        # The stage-1 predictions are the ground truth, so both tables agree.
+        assert pred_path.read_bytes() == gt_table
+
     @pytest.mark.parametrize("args", [
         ("emotion", "train", "--S", "0", "--epochs", "1"),
         ("symptom", "predict", "--S", "0"),

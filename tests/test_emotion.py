@@ -127,7 +127,7 @@ class TestTraining:
         rng = np.random.default_rng(0)
         train, val = self._toy_data(rng, 32), self._toy_data(rng, 16)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=60, batch_size=8,
-                                seed=0, loss="bce")
+                                seed=0)
         sym_net, hist = emotion.train_stage2(train, val, LSETS, spec,
                                              "symptom", patience=20)
         assert set(hist) == {"loss", "val_f1"}
@@ -141,7 +141,7 @@ class TestTraining:
         rng = np.random.default_rng(3)
         train, val = self._toy_data(rng, 12), self._toy_data(rng, 6)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=4, batch_size=8,
-                                seed=5, loss="bce")
+                                seed=5)
         emo, _ = emotion.train_stage2(train, val, LSETS, spec, "emotion")
         sym, _ = emotion.train_stage2(train, val, LSETS, spec, "symptom")
         assert emo.seed == 5 and emo.config["n_out"] == emotion.N_EMOTIONS
@@ -166,7 +166,7 @@ class TestTraining:
             return 1.0 if len(seen) == 1 else 0.0
 
         spec = neural.TrainSpec(learning_rate=0.1, epochs=30, batch_size=8,
-                                seed=0, loss="bce")
+                                seed=0)
         curve, best = emotion.train_sequence_net(
             net, inputs, targets, spec, vx, vy, patience=2, score_fn=score)
         assert best == 1.0

@@ -1,4 +1,4 @@
-"""Example-based multi-label scores and binary accuracy."""
+"""Example-based multi-label scores, binary accuracy and binary F1."""
 
 import numpy as np
 import pytest
@@ -49,6 +49,26 @@ class TestBinaryAccuracy:
         with pytest.raises(metrics.LengthMismatch):
             metrics.binary_accuracy([], [])
 
+
+class TestBinaryF1:
+    def test_known_values(self):
+        # tp 2 (indices 0, 3), fp 1 (index 1), fn 1 (index 4):
+        # precision 2/3, recall 2/3, F1 2/3.
+        pred = [1, 1, 0, 1, 0, 0]
+        truth = [1, 0, 0, 1, 1, 0]
+        assert metrics.binary_f1(pred, truth) == pytest.approx(2 / 3)
+        assert metrics.binary_f1(np.array(pred) == 1, truth) \
+            == pytest.approx(2 / 3)
+
+    def test_no_true_positive_scores_zero(self):
+        assert metrics.binary_f1([0, 0, 1], [1, 1, 0]) == 0.0
+        assert metrics.binary_f1([0, 0], [0, 0]) == 0.0
+
+    def test_errors(self):
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.binary_f1([1, 0], [1])
+        with pytest.raises(metrics.LengthMismatch):
+            metrics.binary_f1([], [])
 
 def _rows():
     return {"m1": metrics.MultilabelScores(0.5, 0.25, 1.0, 0.4)}

@@ -202,9 +202,11 @@ class TestLosses:
         with pytest.raises(neural.ShapeMismatch):
             neural.bce_with_logits(logits, np.zeros((2, 2)))
 
-    def test_unknown_loss(self):
-        with pytest.raises(neural.PoselangError):
-            neural._loss_fn("hinge")
+    def test_targets_pick_the_loss(self):
+        assert neural.loss_for(np.array([0, 2, 1])) \
+            is neural.softmax_cross_entropy
+        assert neural.loss_for([[1.0], [0.0]]) is neural.bce_with_logits
+        assert neural.loss_for(np.zeros((2, 3))) is neural.bce_with_logits
 
 
 class TestTraining:
@@ -215,10 +217,33 @@ class TestTraining:
         y = np.array([0] * 30 + [1] * 30)
         net = neural.RecurrentNet(input_dim=4, hidden=8, n_out=2, seed=0)
         spec = neural.TrainSpec(learning_rate=0.1, epochs=15, batch_size=8,
-                                seed=0, loss="softmax")
+                                seed=0)
         curve = neural.train(net, x[:, None, :], y, spec)
         assert len(curve) == 15
         assert curve[-1] < curve[0] * 0.5
+
+    def test_stacked_and_listed_rows_train_alike(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(10, 8, 8, 2))
+        y = rng.integers(0, 2, size=10)
+        spec = neural.TrainSpec(learning_rate=0.05, epochs=3, batch_size=4,
+                                seed=2)
+        nets, curves = [], []
+        for inputs in (x, list(x)):
+            net = neural.ConvEncoder(in_hw=(8, 8), in_channels=2,
+                                     channels=(2, 3), n_classes=2, seed=1)
+            curves.append(neural.train(net, inputs, y, spec))
+            nets.append(net)
+        assert curves[0] == curves[1]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(nets[0].params(), nets[1].params()))
+
+    def test_one_dimensional_float_targets_are_refused(self):
+        net = neural.RecurrentNet(input_dim=3, hidden=4, n_out=1, seed=0)
+        x = np.random.default_rng(5).normal(size=(4, 5, 3))
+        spec = neural.TrainSpec(epochs=1, batch_size=4)
+        with pytest.raises(neural.ShapeMismatch):
+            neural.train(net, x, np.array([0.0, 1.0, 1.0, 0.0]), spec)
 
     def test_spec_validation(self):
         with pytest.raises(neural.PoselangError):
@@ -233,8 +258,7 @@ class TestTraining:
         curves = []
         for _ in range(2):
             net = neural.RecurrentNet(input_dim=4, hidden=6, n_out=2, seed=5)
-            spec = neural.TrainSpec(learning_rate=0.05, epochs=4, seed=5,
-                                    loss="softmax")
+            spec = neural.TrainSpec(learning_rate=0.05, epochs=4, seed=5)
             curves.append(neural.train(net, x, y, spec))
         assert curves[0] == curves[1]
 
@@ -246,21 +270,21 @@ class TestGradientChecks:
                                  n_classes=2, seed=1)
         x = rng.normal(size=(2, 8, 8, 2))
         y = np.array([0, 1])
-        assert neural.gradient_check(net, x, y, "softmax") < 1e-4
+        assert neural.gradient_check(net, x, y) < 1e-4
 
     def test_recurrent(self):
         rng = np.random.default_rng(11)
         net = neural.RecurrentNet(input_dim=3, hidden=4, n_out=2, seed=2)
         x = rng.normal(size=(2, 5, 3))
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
-        assert neural.gradient_check(net, x, y, "bce") < 1e-4
+        assert neural.gradient_check(net, x, y) < 1e-4
 
     def test_conv1d(self):
         rng = np.random.default_rng(12)
         net = neural.Conv1DNet(input_dim=3, channels=4, n_out=2, seed=3)
         x = make_pool_safe_batch(rng, (2, 6, 3), net)
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
-        assert neural.gradient_check(net, x, y, "bce") < 1e-4
+        assert neural.gradient_check(net, x, y) < 1e-4
 
 
 class TestNets:
