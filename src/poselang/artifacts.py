@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bodylang, codebook, neural
-from .core import EMOTION_NAMES, TRACKS, PipelineConfig, PoselangError
+from .core import (EMOTION_NAMES, TRACKS, InvariantViolated, PipelineConfig,
+                   PoselangError)
 from .ingest import SPLITS
 
 
@@ -27,9 +28,13 @@ class CorruptArtifact(PoselangError):
 
 
 def write(path, header: dict, array) -> None:
+    """Refuses a non-finite payload, which `read` would call damaged."""
+    payload = np.ascontiguousarray(array, dtype="<f8")
+    if not np.isfinite(payload).all():
+        raise InvariantViolated(f"{path}: non-finite payload, not written")
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read(path, magic: str, expect_hash: str | None = None
@@ -140,11 +145,10 @@ def load_encoders(workdir: Path, config: PipelineConfig):
 
 def load_feature_models(workdir: Path, config: PipelineConfig,
                         feature_kind: str):
-    """(codebooks, encoders), of which only the one `feature_kind` uses is
-    loaded; the other is None."""
+    """{track: model} for `feature_kind`: codebooks or encoders."""
     if feature_kind == bodylang.FEATURE_NTRAJ_PLUS:
-        return load_codebooks(workdir, config), None
-    return None, load_encoders(workdir, config)
+        return load_codebooks(workdir, config)
+    return load_encoders(workdir, config)
 
 
 def save_stores(workdir: Path, feature_kind: str, stores,

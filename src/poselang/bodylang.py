@@ -40,16 +40,6 @@ def subset_for(track: str):
     return UPPER_SUBSET if track == "upper" else LOWER_SUBSET
 
 
-def ntraj_window_features(seq, track: str, config: PipelineConfig,
-                          codebooks: dict[str, cb.Codebook]) -> np.ndarray:
-    """(K, D) bag-of-features histograms for one track's joint subset."""
-    starts = window_starts(seq.n_frames, config.window_len, config.window_stride)
-    blocks = ntraj.extract_descriptors(
-        seq, subset_for(track), config.traj_len, config.gaps, ntraj.NTRAJ_PLUS)
-    order = ntraj.stream_kinds(config.gaps, ntraj.NTRAJ_PLUS)
-    return cb.window_feature(blocks, codebooks, starts, config.window_len, order)
-
-
 def window_images(seq, config: PipelineConfig) -> np.ndarray:
     """(K, H, W, 2) pose images of a clip's sliding windows, rendered in
     one batch and mapped from [0, 255] to the encoder's [-1, 1] input."""
@@ -59,20 +49,35 @@ def window_images(seq, config: PipelineConfig) -> np.ndarray:
         windows, config.pose_image_size) / 127.5 - 1.0
 
 
-def stconv_window_features(seq, config: PipelineConfig, encoder) -> np.ndarray:
-    """(K, D) L2-normalized conv-encoder embeddings of window pose images."""
-    emb = encoder.embed(window_images(seq, config))
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    return emb / np.maximum(norms, 1e-12)
+def clip_features(seq, feature_kind: str, config: PipelineConfig,
+                  models) -> dict[str, np.ndarray]:
+    """{track: (K, D) window features} for each track in `models`, which
+    maps a track to its codebooks (NTraj+: bag-of-features histograms of
+    the track's joints) or its encoder (ST-Conv: L2-normalized embeddings
+    of the clip's pose images, rendered once for every track)."""
+    if feature_kind == FEATURE_NTRAJ_PLUS:
+        starts = window_starts(seq.n_frames, config.window_len,
+                               config.window_stride)
+        order = ntraj.stream_kinds(config.gaps)
+        return {track: cb.window_feature(
+                    ntraj.extract_descriptors(seq, subset_for(track),
+                                              config.traj_len, config.gaps),
+                    books, starts, config.window_len, order)
+                for track, books in models.items()}
+    if feature_kind != FEATURE_STCONV:
+        raise PoselangError(f"unknown feature kind {feature_kind!r}")
+    images = window_images(seq, config)
+    embs = {track: encoder.embed(images) for track, encoder in models.items()}
+    return {track: emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
+                                    1e-12)
+            for track, emb in embs.items()}
 
 
 def window_features(seq, feature_kind: str, track: str, config: PipelineConfig,
                     codebooks=None, encoder=None) -> np.ndarray:
-    if feature_kind == FEATURE_NTRAJ_PLUS:
-        return ntraj_window_features(seq, track, config, codebooks)
-    if feature_kind == FEATURE_STCONV:
-        return stconv_window_features(seq, config, encoder)
-    raise PoselangError(f"unknown feature kind {feature_kind!r}")
+    """One track's `clip_features`, from its codebooks or its encoder."""
+    model = codebooks if feature_kind == FEATURE_NTRAJ_PLUS else encoder
+    return clip_features(seq, feature_kind, config, {track: model})[track]
 
 
 @dataclass
@@ -159,24 +164,16 @@ class BodyLanguageSequence:
 
 
 def predict_sequence(seq, stores: dict[str, ExemplarStore],
-                     config: PipelineConfig, codebooks=None,
-                     encoders=None) -> BodyLanguageSequence:
-    """Classify every sliding window on both tracks.
-
-    `codebooks` and `encoders` are per-track dicts; only the one matching
-    each store's feature kind is consulted.
-    """
+                     config: PipelineConfig, models) -> BodyLanguageSequence:
+    """Classify every sliding window on both tracks; `models` maps each
+    track to the feature model of its store's kind (see `clip_features`)."""
+    feats = clip_features(seq, stores[TRACKS[0]].feature_kind, config, models)
     out = {}
     for track in TRACKS:
-        store = stores[track]
-        feats = window_features(
-            seq, store.feature_kind, track, config,
-            codebooks=(codebooks or {}).get(track),
-            encoder=(encoders or {}).get(track))
-        ids = out[track] = np.empty(len(feats), dtype=int)
-        confs = out[f"{track}_conf"] = np.empty(len(feats))
-        for w, f in enumerate(feats):
-            ids[w], confs[w] = knn_classify(f, store, config.knn_k)
+        ids = out[track] = np.empty(len(feats[track]), dtype=int)
+        confs = out[f"{track}_conf"] = np.empty(len(feats[track]))
+        for w, f in enumerate(feats[track]):
+            ids[w], confs[w] = knn_classify(f, stores[track], config.knn_k)
     return BodyLanguageSequence(clip_id=seq.source_id, **out)
 
 
@@ -249,12 +246,3 @@ def save_exemplar_manifest(rows, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for track, clip_id, start, cls in rows:
             fh.write(f"{track},{clip_id},{start},{cls}\n")
-
-
-def build_store(track: str, feature_kind: str, label_set: LabelSet,
-                features: np.ndarray, class_names: list[str],
-                provenance: list[tuple[str, int]]) -> ExemplarStore:
-    labels = np.array([label_set.index(n) for n in class_names], dtype=int)
-    return ExemplarStore(track=track, feature_kind=feature_kind,
-                         features=features, labels=labels,
-                         label_set=label_set, provenance=provenance)

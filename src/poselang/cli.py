@@ -13,6 +13,7 @@ from functools import partial, wraps
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import artifacts, bodylang, emotion as emomod, metrics, neural, pipeline, synth
 from .core import (ADMISSIBLE_CODEBOOK_SIZES, TRACKS, InvariantViolated,
@@ -134,14 +135,12 @@ def codebook_group():
 
 
 @codebook_group.command("train")
-@click.option("--kind", "feature_kind", type=click.Choice(["ntraj+"]),
-              default="ntraj+", show_default=True)
 @click.option("--N", "size", type=int, default=None,
               help="Codebook size (admissible: 10,20,50,100,200,500).")
 @click.pass_context
 @handle_errors
-def codebook_train(ctx, feature_kind, size):
-    """Train per-stream-kind codebooks on the training split."""
+def codebook_train(ctx, size):
+    """Train NTraj+ per-stream-kind codebooks on the training split."""
     if size is not None and size not in ADMISSIBLE_CODEBOOK_SIZES:
         raise PoselangError(
             f"N={size} not in admissible set {ADMISSIBLE_CODEBOOK_SIZES}")
@@ -166,10 +165,8 @@ def encoder_group():
 def encoder_train(ctx, epochs, lr):
     """Train one encoder per track on frame-labeled training windows."""
     workdir, config, ds = _setup(ctx)
-    for track in TRACKS:
-        spec = neural.TrainSpec(learning_rate=lr, epochs=epochs,
-                                seed=config.seed)
-        enc = pipeline.train_encoder(ds, track, spec)
+    spec = neural.TrainSpec(learning_rate=lr, epochs=epochs, seed=config.seed)
+    for track, enc in pipeline.train_encoders(ds, spec).items():
         path = artifacts.save_net(artifacts.encoder_path(workdir, track),
                                   enc, config)
         click.echo(f"{track}: encoder -> {path}")
@@ -198,9 +195,8 @@ def exemplars_build(ctx, ex_manifest, feature_kind, per_class):
     else:
         rows = bodylang.load_exemplar_manifest(ex_manifest, ds.sequences,
                                                config, ds.label_sets)
-    codebooks, encoders = artifacts.load_feature_models(workdir, config,
-                                                        feature_kind)
-    stores = pipeline.build_stores(ds, rows, feature_kind, codebooks, encoders)
+    models = artifacts.load_feature_models(workdir, config, feature_kind)
+    stores = pipeline.build_stores(ds, rows, feature_kind, models)
     out = artifacts.save_stores(workdir, feature_kind, stores, config,
                                 rows if ex_manifest is None else None)
     for track, store in stores.items():
@@ -223,9 +219,8 @@ def bodylang_predict(ctx, feature_kind, split):
     workdir, config, ds = _setup(ctx)
     stores = artifacts.load_stores(workdir, config, feature_kind,
                                    ds.label_sets)
-    codebooks, encoders = artifacts.load_feature_models(workdir, config,
-                                                        feature_kind)
-    preds = pipeline.predict_split(ds, split, stores, codebooks, encoders)
+    models = artifacts.load_feature_models(workdir, config, feature_kind)
+    preds = pipeline.predict_split(ds, split, stores, models)
     path = artifacts.save_predictions(workdir, feature_kind, split, preds, ds)
     click.echo(f"{len(preds)} clips -> {path}")
 
@@ -304,18 +299,13 @@ for task in ("emotion", "symptom"):
 
 # ---------------------------------------------------------------------------
 @main.command("eval")
-@click.option("--task", type=click.Choice(["bodylang", "emotion", "symptom"]),
-              required=True)
+@click.option("--task", type=click.Choice(["bodylang"]), required=True)
 @_feature_option
 @_split_option
 @click.pass_context
 @handle_errors
 def eval_cmd(ctx, task, feature_kind, split):
-    """Evaluate stored predictions against the manifest labels."""
-    if task != "bodylang":
-        raise PoselangError(
-            f"`eval --task {task}` reads stage-2 prediction files; use "
-            f"`{task} train` which reports test metrics, or `sweep --axis LS`")
+    """Evaluate stored stage-1 predictions against the manifest labels."""
     workdir, config, ds = _setup(ctx)
     preds = artifacts.load_predictions(workdir, feature_kind, split, ds)
     scores = pipeline.video_multilabel(ds, preds)
@@ -339,7 +329,17 @@ def eval_cmd(ctx, task, feature_kind, split):
 @click.pass_context
 @handle_errors
 def sweep_cmd(ctx, axis, source, feature_kind):
-    """Ablation sweeps; aggregated CSV of metric rows."""
+    """Ablation sweeps; aggregated CSV of metric rows.  Only `--axis LS`
+    reads --source, and only with `--source pred` --feature."""
+    explicit = {p for p in ("source", "feature_kind")
+                if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT}
+    ignored = [option for option, param, read in (
+        ("--source", "source", axis == "LS"),
+        ("--feature", "feature_kind", axis == "LS" and source == "pred"))
+        if param in explicit and not read]
+    if ignored:
+        raise click.UsageError(
+            f"--axis {axis} does not read {' or '.join(ignored)}")
     workdir, config, ds = _setup(ctx)
     if axis == "N":
         lines = pipeline.sweep_codebook_size(ds)

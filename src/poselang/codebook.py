@@ -143,9 +143,8 @@ def window_feature(blocks: dict[str, DescriptorBlock],
             flat = blk.values.reshape(-1, T)
             labels = quantize_batch(flat, cb).reshape(n_starts, n_streams)
             for w, w0 in enumerate(window_starts):
-                sel = (blk.start_frames >= w0) & (blk.start_frames < w0 + window_len)
-                if sel.any():
-                    hist[w] = np.bincount(labels[sel].ravel(), minlength=N)
+                hist[w] = np.bincount(labels[w0:w0 + window_len].ravel(),
+                                      minlength=N)
             sums = hist.sum(axis=1, keepdims=True)
             np.divide(hist, sums, out=hist, where=sums > 0)
         feats.append(hist)

@@ -68,6 +68,7 @@ def parse_keypoint_frame(data: bytes | str) -> ParsedPose:
 
     Picks the person with the highest mean confidence.  Joints below the
     confidence floor or sitting at the (0,0) sentinel are marked invalid.
+    Every coordinate and confidence must be a finite number.
     """
     try:
         doc = json.loads(data)
@@ -85,10 +86,18 @@ def parse_keypoint_frame(data: bytes | str) -> ParsedPose:
     best_mean = -1.0
     for person in people:
         kps = person.get("pose_keypoints_2d") if isinstance(person, dict) else None
-        if kps is None or len(kps) != 3 * N_JOINTS:
+        if not isinstance(kps, list) or len(kps) != 3 * N_JOINTS:
             raise MalformedFile(
                 f"pose_keypoints_2d must hold {3 * N_JOINTS} values")
-        arr = np.asarray(kps, dtype=np.float64).reshape(N_JOINTS, 3)
+        try:
+            arr = np.asarray(kps, dtype=np.float64).reshape(N_JOINTS, 3)
+        except (TypeError, ValueError):
+            raise MalformedFile("pose_keypoints_2d holds a value that is not "
+                                "a number") from None
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise MalformedFile(f"joint {bad[0]} of pose_keypoints_2d is not "
+                                "finite")
         mean_conf = float(arr[:, 2].mean())
         if mean_conf > best_mean:
             best_mean = mean_conf
@@ -146,6 +155,8 @@ def load_sequence(path, frame_rate: float) -> PoseSequence:
             parsed_any = True
         except NoPerson:
             frames.append(invalid_pose())
+        except MalformedFile as exc:
+            raise MalformedFile(f"{f}: {exc}") from None
     if not parsed_any:
         raise EmptySequence(f"no parseable frame under {path}")
 

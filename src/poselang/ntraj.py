@@ -13,7 +13,6 @@ from .core import JointSubset, PoseSequence, PoselangError
 
 DEGENERATE_SUM = 1e-8
 
-NTRAJ = "ntraj"
 NTRAJ_PLUS = "ntraj+"
 
 
@@ -23,12 +22,13 @@ class SequenceTooShort(PoselangError):
 
 def stream_kinds(gaps, feature_kind: str = NTRAJ_PLUS) -> list[str]:
     """Canonical stream-kind order; codebooks and histograms follow it."""
+    if feature_kind != NTRAJ_PLUS:
+        raise PoselangError(f"{feature_kind!r} is not NTraj+, the one "
+                            "trajectory feature")
     kinds = ["posx", "posy"]
     for prefix in ("dx", "dy", "angle"):
         kinds += [f"{prefix}{s}" for s in sorted(gaps)]
-    if feature_kind == NTRAJ_PLUS:
-        kinds += ["pair_orient", "inner_angle"]
-    return kinds
+    return kinds + ["pair_orient", "inner_angle"]
 
 
 @dataclass
@@ -47,7 +47,7 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def raw_streams(seq: PoseSequence, subset: JointSubset,
-                gaps, feature_kind: str = NTRAJ_PLUS) -> dict[str, StreamBlock]:
+                gaps) -> dict[str, StreamBlock]:
     """Compute every per-frame stream value for the subset's joints.
 
     Returns one block per stream kind.  Motion blocks at gap s are s frames
@@ -75,31 +75,27 @@ def raw_streams(seq: PoseSequence, subset: JointSubset,
         blocks[f"dy{s}"] = StreamBlock("dy", s, d[:, :, 1], single)
         blocks[f"angle{s}"] = StreamBlock("angle", s, ang, single)
 
-    if feature_kind == NTRAJ_PLUS:
-        pairs = list(combinations(range(J), 2))
-        if pairs:
-            pi = np.array([p[0] for p in pairs])
-            pj = np.array([p[1] for p in pairs])
-            d = pos[:, pj, :] - pos[:, pi, :]
-            vals = _wrap_angle(np.arctan2(d[:, :, 1], d[:, :, 0]))
-        else:
-            vals = np.zeros((n, 0))
-        blocks["pair_orient"] = StreamBlock(
-            "pair_orient", None, vals,
-            [(joints[i], joints[j]) for i, j in pairs])
+    pairs = list(combinations(range(J), 2))
+    pi = np.array([p[0] for p in pairs], dtype=int)
+    pj = np.array([p[1] for p in pairs], dtype=int)
+    d = pos[:, pj, :] - pos[:, pi, :]
+    vals = _wrap_angle(np.arctan2(d[:, :, 1], d[:, :, 0]))
+    blocks["pair_orient"] = StreamBlock(
+        "pair_orient", None, vals,
+        [(joints[i], joints[j]) for i, j in pairs])
 
-        scopes: list[tuple[int, ...]] = []
-        cols = []
-        for a, b, c in combinations(range(J), 3):
-            for vertex, arms in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-                u = pos[:, arms[0], :] - pos[:, vertex, :]
-                w = pos[:, arms[1], :] - pos[:, vertex, :]
-                cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-                dot = (u * w).sum(axis=1)
-                cols.append(np.arctan2(np.abs(cross), dot))
-                scopes.append((joints[vertex], joints[arms[0]], joints[arms[1]]))
-        vals = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
-        blocks["inner_angle"] = StreamBlock("inner_angle", None, vals, scopes)
+    scopes: list[tuple[int, ...]] = []
+    cols = []
+    for a, b, c in combinations(range(J), 3):
+        for vertex, arms in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            u = pos[:, arms[0], :] - pos[:, vertex, :]
+            w = pos[:, arms[1], :] - pos[:, vertex, :]
+            cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+            dot = (u * w).sum(axis=1)
+            cols.append(np.arctan2(np.abs(cross), dot))
+            scopes.append((joints[vertex], joints[arms[0]], joints[arms[1]]))
+    vals = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+    blocks["inner_angle"] = StreamBlock("inner_angle", None, vals, scopes)
 
     return blocks
 
@@ -115,7 +111,6 @@ class DescriptorBlock:
     kind: str
     gap: int | None
     values: np.ndarray
-    start_frames: np.ndarray
     scopes: list[tuple[int, ...]]
     degenerate: np.ndarray  # (n_starts, n_streams) bool
 
@@ -129,8 +124,8 @@ def _normalize_block(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, degenerate
 
 
-def extract_descriptors(seq, subset: JointSubset, traj_len: int, gaps,
-                        feature_kind: str = NTRAJ_PLUS) -> dict[str, DescriptorBlock]:
+def extract_descriptors(seq, subset: JointSubset, traj_len: int,
+                        gaps) -> dict[str, DescriptorBlock]:
     """Slide a length-T window over every stream and L1-normalize.
 
     Zero-sum trajectories come out as all-zero vectors tagged degenerate so
@@ -141,15 +136,14 @@ def extract_descriptors(seq, subset: JointSubset, traj_len: int, gaps,
     if n < traj_len + max(gaps):
         raise SequenceTooShort(
             f"{n} frames < traj_len {traj_len} + max gap {max(gaps)}")
-    blocks = raw_streams(seq, subset, gaps, feature_kind)
+    blocks = raw_streams(seq, subset, gaps)
     out: dict[str, DescriptorBlock] = {}
     for key, blk in blocks.items():
         # (n_starts, n_streams, T)
         windows = sliding_window_view(blk.values, traj_len, axis=0).copy()
         values, degenerate = _normalize_block(windows)
-        out[key] = DescriptorBlock(
-            blk.kind, blk.gap, values,
-            np.arange(values.shape[0]), blk.scopes, degenerate)
+        out[key] = DescriptorBlock(blk.kind, blk.gap, values, blk.scopes,
+                                   degenerate)
     return out
 
 

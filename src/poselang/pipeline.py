@@ -114,14 +114,13 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
     pools: dict[str, list[np.ndarray]] = {}
     for entry in sorted(ds.manifest.split("train"), key=lambda e: e.clip_id):
         blocks = ntraj.extract_descriptors(
-            ds.sequences[entry.clip_id], subset, config.traj_len, config.gaps,
-            ntraj.NTRAJ_PLUS)
+            ds.sequences[entry.clip_id], subset, config.traj_len, config.gaps)
         for kind, blk in blocks.items():
             if blk.values.size:
                 pools.setdefault(kind, []).append(
                     blk.values.reshape(-1, config.traj_len))
     books: dict[str, cb.Codebook] = {}
-    for kind in ntraj.stream_kinds(config.gaps, ntraj.NTRAJ_PLUS):
+    for kind in ntraj.stream_kinds(config.gaps):
         points = np.concatenate(pools[kind])
         cap = config.codebook_sample_cap
         if points.shape[0] > cap:
@@ -140,94 +139,78 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
 # ---------------------------------------------------------------------------
 # Encoder training on frame-labeled training windows
 
-def encoder_training_set(ds: Dataset, track: str,
-                         clip_ids=None) -> tuple[np.ndarray, np.ndarray]:
-    """Pose images and class ids for every ground-truth-labeled training
-    window."""
-    lset = ds.label_sets[track]
-    track_idx = 0 if track == "upper" else 1
-    images, labels = [], []
+def train_encoders(ds: Dataset, spec: neural.TrainSpec,
+                   clip_ids=None) -> dict[str, neural.ConvEncoder]:
+    """One encoder per track, both trained on one render of the pose images
+    of every ground-truth-labeled training window."""
     ids = clip_ids if clip_ids is not None else sorted(
         e.clip_id for e in ds.manifest.split("train"))
+    images, gt = [], []
     for clip_id in ids:
-        gt = ds.gt_windows.get(clip_id)
-        if not gt:
+        clip_gt = ds.gt_windows.get(clip_id)
+        if not clip_gt:
             continue
         imgs = bodylang.window_images(ds.sequences[clip_id], ds.config)
-        _check_window_count(clip_id, len(imgs), len(gt))
+        _check_window_count(clip_id, len(imgs), len(clip_gt))
         images.append(imgs)
-        labels.extend(lset.index(g[track_idx]) for g in gt)
-    return np.concatenate(images), np.array(labels, dtype=int)
-
-
-def train_encoder(ds: Dataset, track: str, spec: neural.TrainSpec,
-                  clip_ids=None) -> neural.ConvEncoder:
-    images, labels = encoder_training_set(ds, track, clip_ids)
-    net = neural.ConvEncoder(
-        in_hw=ds.config.pose_image_size, in_channels=2,
-        n_classes=len(ds.label_sets[track]), seed=spec.seed)
-    neural.train(net, images, labels, spec)
-    return net
+        gt.extend(clip_gt)
+    images = np.concatenate(images)
+    encoders = {}
+    for track_idx, track in enumerate(TRACKS):
+        lset = ds.label_sets[track]
+        labels = np.array([lset.index(g[track_idx]) for g in gt], dtype=int)
+        encoders[track] = neural.ConvEncoder(
+            in_hw=ds.config.pose_image_size, in_channels=2,
+            n_classes=len(lset), seed=spec.seed)
+        neural.train(encoders[track], images, labels, spec)
+    return encoders
 
 
 # ---------------------------------------------------------------------------
 # Exemplar stores
 
 def build_stores(ds: Dataset, rows, feature_kind: str,
-                 codebooks=None, encoders=None) -> dict[str, bodylang.ExemplarStore]:
-    """Turn exemplar-manifest rows into per-track stores.
-
-    Window features are computed once per referenced clip and indexed by
-    window start frame.
-    """
-    config = ds.config
-    feats_cache: dict[tuple[str, str], np.ndarray] = {}
-
-    def features_for(clip_id, track):
-        key = (clip_id, track)
-        if key not in feats_cache:
-            feats_cache[key] = bodylang.window_features(
-                ds.sequences[clip_id], feature_kind, track, config,
-                codebooks=(codebooks or {}).get(track),
-                encoder=(encoders or {}).get(track))
-        return feats_cache[key]
-
+                 models) -> dict[str, bodylang.ExemplarStore]:
+    """Per-track stores from exemplar-manifest rows; each clip they name is
+    featurized once, with the `models` of the tracks its rows name."""
+    clip_models: dict[str, dict] = {}
+    for track, clip_id, _, _ in rows:
+        clip_models.setdefault(clip_id, {})[track] = models[track]
+    feats = {clip_id: bodylang.clip_features(ds.sequences[clip_id],
+                                             feature_kind, ds.config, m)
+             for clip_id, m in clip_models.items()}
     stores = {}
     for track in TRACKS:
-        track_rows = [r for r in rows if r[0] == track]
-        feats, names, prov = [], [], []
-        for _, clip_id, start, cls in track_rows:
-            w = start // config.window_stride
-            feats.append(features_for(clip_id, track)[w])
-            names.append(cls)
-            prov.append((clip_id, w))
-        stores[track] = bodylang.build_store(
-            track, feature_kind, ds.label_sets[track],
-            np.stack(feats), names, prov)
+        lset = ds.label_sets[track]
+        picked = [(clip_id, start // ds.config.window_stride, cls)
+                  for t, clip_id, start, cls in rows if t == track]
+        stores[track] = bodylang.ExemplarStore(
+            track=track, feature_kind=feature_kind,
+            features=np.stack([feats[c][track][w] for c, w, _ in picked]),
+            labels=[lset.index(cls) for _, _, cls in picked], label_set=lset,
+            provenance=[(c, w) for c, w, _ in picked])
     return stores
 
 
 # ---------------------------------------------------------------------------
 # Stage-1 prediction and evaluation
 
-def predict_split(ds: Dataset, split: str, stores, codebooks=None,
-                  encoders=None) -> dict[str, bodylang.BodyLanguageSequence]:
+def predict_split(ds: Dataset, split: str, stores,
+                  models) -> dict[str, bodylang.BodyLanguageSequence]:
     preds = {}
     for entry in sorted(ds.manifest.split(split), key=lambda e: e.clip_id):
         preds[entry.clip_id] = bodylang.predict_sequence(
-            ds.sequences[entry.clip_id], stores, ds.config,
-            codebooks=codebooks, encoders=encoders)
+            ds.sequences[entry.clip_id], stores, ds.config, models)
     return preds
 
 
-def evaluate_exemplar_knn(ds: Dataset, feature_kind: str, codebooks=None,
-                          encoders=None):
+def evaluate_exemplar_knn(ds: Dataset, feature_kind: str, models):
     """Pick exemplars, build stores, predict the test split and score it:
     (window accuracy, video-level scores)."""
     rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
                                 ds.config.window_stride, seed=ds.config.seed)
-    stores = build_stores(ds, rows, feature_kind, codebooks, encoders)
-    preds = predict_split(ds, "test", stores, codebooks, encoders)
+    stores = build_stores(ds, rows, feature_kind, models)
+    preds = predict_split(ds, "test", stores, models)
     return window_accuracy(ds, preds), video_multilabel(ds, preds)
 
 
@@ -354,7 +337,7 @@ def sweep_codebook_size(ds: Dataset) -> list[str]:
             ds, config=dataclasses.replace(ds.config, codebook_size=n))
         books = {t: train_codebooks(sub, t) for t in TRACKS}
         acc, f1s = evaluate_exemplar_knn(sub, bodylang.FEATURE_NTRAJ_PLUS,
-                                         codebooks=books)
+                                         books)
         lines += [f"{n},{t},{acc[t]:.6f},{f1s[t].f1:.6f}" for t in TRACKS]
     return lines
 
@@ -389,9 +372,8 @@ def sweep_data_fraction(ds: Dataset) -> list[str]:
     accs = {}
     for frac in (1.0, 0.5, 0.2):
         ids = train_ids[:max(1, int(round(frac * len(train_ids))))]
-        encs = {t: train_encoder(ds, t, spec, ids) for t in TRACKS}
         acc, _ = evaluate_exemplar_knn(ds, bodylang.FEATURE_STCONV,
-                                       encoders=encs)
+                                       train_encoders(ds, spec, ids))
         accs[frac] = acc["overall"]
         lines += [f"{frac},{t},{acc[t]:.6f}" for t in TRACKS]
     drop = 100.0 * (accs[1.0] - accs[0.2]) / max(accs[1.0], 1e-12)

@@ -53,25 +53,22 @@ def ntraj_eval(default_env):
     ds, rows = default_env["ds"], default_env["rows"]
     books = {t: pipeline.train_codebooks(ds, t) for t in ("upper", "lower")}
     stores = pipeline.build_stores(ds, rows, bodylang.FEATURE_NTRAJ_PLUS,
-                                   codebooks=books)
-    preds = pipeline.predict_split(ds, "test", stores, codebooks=books)
+                                   books)
+    preds = pipeline.predict_split(ds, "test", stores, books)
     acc, f1 = _stage1_eval(ds, preds)
     return {"acc": acc, "f1": f1, "elapsed": time.perf_counter() - t0}
 
 
 def _train_encoders(ds, clip_ids=None):
-    encoders = {}
-    for track in ("upper", "lower"):
-        spec = neural.TrainSpec(learning_rate=0.05, epochs=90, batch_size=32,
-                                seed=ds.config.seed)
-        encoders[track] = pipeline.train_encoder(ds, track, spec, clip_ids)
-    return encoders
+    spec = neural.TrainSpec(learning_rate=0.05, epochs=90, batch_size=32,
+                            seed=ds.config.seed)
+    return pipeline.train_encoders(ds, spec, clip_ids)
 
 
 def _stconv_run(ds, rows, encoders):
     stores = pipeline.build_stores(ds, rows, bodylang.FEATURE_STCONV,
-                                   encoders=encoders)
-    preds = pipeline.predict_split(ds, "test", stores, encoders=encoders)
+                                   encoders)
+    preds = pipeline.predict_split(ds, "test", stores, encoders)
     return _stage1_eval(ds, preds)
 
 
@@ -103,11 +100,10 @@ def stage2_env(tmp_path_factory):
     rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
                                 config.window_stride)
     stores = pipeline.build_stores(ds, rows, bodylang.FEATURE_NTRAJ_PLUS,
-                                   codebooks=books)
+                                   books)
     preds = {}
     for split in ("train", "val", "test"):
-        preds.update(pipeline.predict_split(ds, split, stores,
-                                            codebooks=books))
+        preds.update(pipeline.predict_split(ds, split, stores, books))
     return {"ds": ds, "preds": preds}
 
 

@@ -56,6 +56,14 @@ class TestFormat:
         assert [p.tolist() for p in back.params()] == [
             [[1.0], [2.0], [3.0]], [0.5], [[-1.0]], [0.25]]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_write_refuses_non_finite_payload(self, tmp_path, bad):
+        book = _golden_codebook()
+        book.centroids[1] = [0.5, bad]
+        with pytest.raises(core.InvariantViolated, match="non-finite"):
+            cb.save_codebook(book, tmp_path / "a.cbk", "h")
+        assert not (tmp_path / "a.cbk").exists()
+
     def test_read_returns_header_and_payload(self, tmp_path):
         path = tmp_path / "a.cbk"
         path.write_bytes(GOLDEN_CODEBOOK)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import make_sequence
-from poselang import artifacts, bodylang, core, ntraj
+from poselang import (artifacts, bodylang, codebook as cb, core, neural,
+                      ntraj, pipeline)
 
 
 def _store(features, labels, feature_kind=bodylang.FEATURE_NTRAJ_PLUS,
@@ -157,28 +158,112 @@ def test_prediction_rows_format():
     assert rows[3] == "c9,lower,1,p,0.750000"
 
 
-def test_build_store_maps_names():
-    lset = core.LabelSet.from_classes(["a", "b"])
-    store = bodylang.build_store(
-        "upper", bodylang.FEATURE_STCONV, lset,
-        np.zeros((2, 3)), ["b", "background"], [("c0", 0), ("c0", 1)])
-    assert np.array_equal(store.labels, [1, 2])
-    assert store.provenance == [("c0", 0), ("c0", 1)]
+def test_build_stores_maps_names_and_featurizes_each_clip_once(
+        tiny_ds, monkeypatch):
+    calls = []
+    clip_features = bodylang.clip_features
+
+    def counting(seq, feature_kind, config, models):
+        calls.append((seq.source_id, tuple(models)))
+        return clip_features(seq, feature_kind, config, models)
+
+    monkeypatch.setattr(bodylang, "clip_features", counting)
+    a, b = sorted(e.clip_id for e in tiny_ds.manifest.split("train"))[:2]
+    up, low = (tiny_ds.label_sets[t].names[0] for t in core.TRACKS)
+    rows = [("upper", a, 0, up), ("lower", a, 3, "background"),
+            ("upper", b, 6, "background"), ("lower", a, 0, low)]
+    encoders = {t: neural.ConvEncoder(n_classes=3, seed=i)
+                for i, t in enumerate(core.TRACKS)}
+    stores = pipeline.build_stores(tiny_ds, rows, bodylang.FEATURE_STCONV,
+                                   encoders)
+    assert calls == [(a, ("upper", "lower")), (b, ("upper",))]
+    upper, lower = stores["upper"], stores["lower"]
+    assert np.array_equal(upper.labels, [0, upper.label_set.background_index])
+    assert np.array_equal(lower.labels, [lower.label_set.background_index, 0])
+    assert upper.provenance == [(a, 0), (b, 2)]
+    assert lower.provenance == [(a, 1), (a, 0)]
+    feats = clip_features(tiny_ds.sequences[a], bodylang.FEATURE_STCONV,
+                          tiny_ds.config, encoders)
+    assert np.array_equal(lower.features, feats["lower"][[1, 0]])
+
+
+def _per_track_encoder(ds, track, spec, clip_ids):
+    """An encoder trained on windows rendered for its own track alone."""
+    lset, idx = ds.label_sets[track], core.TRACKS.index(track)
+    images, labels = [], []
+    for clip_id in clip_ids:
+        images.append(bodylang.window_images(ds.sequences[clip_id], ds.config))
+        labels += [lset.index(g[idx]) for g in ds.gt_windows[clip_id]]
+    net = neural.ConvEncoder(in_hw=ds.config.pose_image_size, in_channels=2,
+                             n_classes=len(lset), seed=spec.seed)
+    neural.train(net, np.concatenate(images), np.array(labels), spec)
+    return net
+
+
+def test_train_encoders_match_per_track_training(tiny_ds):
+    spec = neural.TrainSpec(learning_rate=0.05, epochs=2, seed=4)
+    ids = sorted(e.clip_id for e in tiny_ds.manifest.split("train"))[:2]
+    want = {t: _per_track_encoder(tiny_ds, t, spec, ids) for t in core.TRACKS}
+    got = pipeline.train_encoders(tiny_ds, spec, ids)
+    assert list(got) == list(core.TRACKS)
+    for track, net in got.items():
+        assert net.config == want[track].config
+        for p, q in zip(net.params(), want[track].params(), strict=True):
+            assert np.array_equal(p, q)
+
+
+def _random_codebooks(rng, config, size=5):
+    return {kind: cb.Codebook(kind, rng.uniform(-0.5, 0.5,
+                                                (size, config.traj_len)), 0.0)
+            for kind in ntraj.stream_kinds(config.gaps)}
+
+
+@pytest.mark.parametrize("kind", [bodylang.FEATURE_NTRAJ_PLUS,
+                                  bodylang.FEATURE_STCONV])
+def test_clip_features_match_window_features(kind):
+    config = core.PipelineConfig()
+    rng = np.random.default_rng(3)
+    seq = make_sequence(rng, n_frames=30)
+    ntraj_plus = kind == bodylang.FEATURE_NTRAJ_PLUS
+    models = {t: _random_codebooks(rng, config) if ntraj_plus
+              else neural.ConvEncoder(n_classes=3, seed=i)
+              for i, t in enumerate(core.TRACKS)}
+    feats = bodylang.clip_features(seq, kind, config, models)
+    assert list(feats) == list(core.TRACKS)
+    for track, model in models.items():
+        one = bodylang.window_features(
+            seq, kind, track, config, codebooks=model if ntraj_plus else None,
+            encoder=None if ntraj_plus else model)
+        assert one.shape[0] == 9
+        assert np.array_equal(feats[track], one)
 
 
 class _StubEncoder:
+    def __init__(self, scale=1.0):
+        self.scale = scale
+
     def embed(self, images):
         assert images.shape == (7, 32, 32, 2)
-        emb = np.tile([3.0, 4.0], (len(images), 1))
+        emb = np.tile([3.0, 4.0], (len(images), 1)) * self.scale
         emb[1] = 0.0
         return emb
 
 
 def test_stconv_features_l2_normalized():
     seq = make_sequence(np.random.default_rng(1), n_frames=24)
-    feats = bodylang.stconv_window_features(seq, core.PipelineConfig(),
-                                            _StubEncoder())
-    assert np.allclose(feats[0], [0.6, 0.8])
-    assert np.allclose(np.linalg.norm(np.delete(feats, 1, axis=0), axis=1),
-                       1.0)
-    assert np.all(feats[1] == 0.0)  # a zero embedding stays zero
+    feats = bodylang.clip_features(
+        seq, bodylang.FEATURE_STCONV, core.PipelineConfig(),
+        {"upper": _StubEncoder(), "lower": _StubEncoder(scale=-2.0)})
+    assert np.allclose(feats["upper"][0], [0.6, 0.8])
+    assert np.allclose(feats["lower"][0], [-0.6, -0.8])
+    for f in feats.values():
+        assert np.allclose(np.linalg.norm(np.delete(f, 1, axis=0), axis=1),
+                           1.0)
+        assert np.all(f[1] == 0.0)  # a zero embedding stays zero
+
+
+def test_unknown_feature_kind():
+    seq = make_sequence(np.random.default_rng(2), n_frames=24)
+    with pytest.raises(core.PoselangError, match="unknown feature kind"):
+        bodylang.clip_features(seq, "ntraj", core.PipelineConfig(),
+                               {"upper": None})

@@ -1,5 +1,6 @@
 """End-to-end CLI flow on a tiny workdir, plus error codes."""
 
+import json
 import shutil
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from poselang import (artifacts, bodylang, cli, core, emotion, ingest,
-                      pipeline)
+                      pipeline, poseimage)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,25 @@ class TestErrors:
         invoke(runner, workdir, "emotion", "train", "--source", "pred",
                "--epochs", "1", expect=3)
 
+    @pytest.mark.parametrize("args,ignored", [
+        (("--axis", "N", "--source", "gt"), "--source"),
+        (("--axis", "datafrac", "--feature", "stconv"), "--feature"),
+        (("--axis", "feature", "--source", "pred", "--feature", "ntraj+"),
+         "--source or --feature"),
+        (("--axis", "LS", "--feature", "stconv"), "--feature"),
+        (("--axis", "LS", "--source", "gt", "--feature", "ntraj+"),
+         "--feature"),
+    ])
+    def test_sweep_rejects_options_its_axis_ignores(self, runner, tmp_path,
+                                                    args, ignored):
+        result = invoke(runner, tmp_path, "sweep", *args, expect=2)
+        assert f"--axis {args[1]} does not read {ignored}" in result.output
+        assert not (tmp_path / "metrics").exists()
+
+    @pytest.mark.parametrize("task", ["emotion", "symptom"])
+    def test_eval_reads_only_stage1_predictions(self, runner, tmp_path, task):
+        invoke(runner, tmp_path, "eval", "--task", task, expect=2)
+
     def test_internal_invariant_exits_4(self, capsys):
         @cli.handle_errors
         def fails():
@@ -204,6 +224,11 @@ class TestStage2WithoutClips:
         assert (tmp_path / "metrics" / "sweep_LS.csv").read_bytes() == gt_table
         # The stage-1 predictions are the ground truth, so both tables agree.
         assert pred_path.read_bytes() == gt_table
+        shutil.copytree(tmp_path / "predictions" / "ntraj+",
+                        tmp_path / "predictions" / "stconv")
+        invoke(runner, tmp_path, "sweep", "--axis", "LS", "--source", "pred",
+               "--feature", "stconv")
+        assert pred_path.read_bytes() == gt_table
 
     @pytest.mark.parametrize("args", [
         ("emotion", "train", "--S", "0", "--epochs", "1"),
@@ -227,9 +252,28 @@ class TestBadClip:
         return tmp_path
 
     @staticmethod
-    def corrupt(workdir, clip_id):
+    def corrupt(workdir, clip_id, text="{not json"):
         frame = workdir / "dataset" / "clips" / clip_id / "frame_000003.json"
-        frame.write_text("{not json")
+        frame.write_text(text)
+        return frame
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "not a number"), ([1, 2], "not a number"),
+        (None, "joint 0 of pose_keypoints_2d is not finite"),
+        (float("nan"), "joint 0 of pose_keypoints_2d is not finite"),
+        (float("inf"), "joint 0 of pose_keypoints_2d is not finite"),
+    ])
+    def test_bad_coordinate(self, runner, bad_workdir, value, message):
+        man = ingest.load_manifest(bad_workdir / "dataset" / "manifest.csv")
+        clip_dir = bad_workdir / "dataset" / "clips" / man.entries[0].clip_id
+        doc = json.loads((clip_dir / "frame_000003.json").read_text())
+        doc["people"][0]["pose_keypoints_2d"][0] = value
+        frame = self.corrupt(bad_workdir, man.entries[0].clip_id,
+                             json.dumps(doc))
+        result = invoke(runner, bad_workdir, "preprocess", expect=3)
+        assert f"{frame}: " in result.output
+        assert message in result.output
+        assert not (bad_workdir / "preprocessed").exists()
 
     def test_train_split_clip(self, runner, bad_workdir):
         man = ingest.load_manifest(bad_workdir / "dataset" / "manifest.csv")
@@ -354,6 +398,23 @@ def test_stconv_artifacts_are_deterministic(runner, tmp_path):
             shutil.rmtree(tmp_path / d)
     assert len(runs[0]) == 6  # 2 encoders, 3 exemplar files, 1 prediction
     assert runs[0] == runs[1]
+
+
+def test_stconv_renders_each_clip_once(runner, tmp_path, monkeypatch):
+    invoke(runner, tmp_path, "synth", "gen", "--clips-per-split", "2")
+    renders = []
+    encode = poseimage.encode_pose_image
+    monkeypatch.setattr(poseimage, "encode_pose_image",
+                        lambda *args: renders.append(1) or encode(*args))
+    invoke(runner, tmp_path, "encoder", "train", "--epochs", "1")
+    assert len(renders) == 2  # two training clips, both tracks
+    renders.clear()
+    invoke(runner, tmp_path, "exemplars", "build", "--feature", "stconv")
+    rows = (tmp_path / "exemplars" / "stconv" / "exemplars.csv").read_text()
+    assert len(renders) == len({row.split(",")[1] for row in rows.splitlines()})
+    renders.clear()
+    invoke(runner, tmp_path, "bodylang", "predict", "--feature", "stconv")
+    assert len(renders) == 2  # two test clips, both tracks
 
 
 def test_load_predictions_round_trip(runner, workdir, config):

@@ -110,8 +110,8 @@ class TestWindowFeature:
         vals[:, 0] = [1.0, 0.0]   # stream 0 always centroid 0
         vals[:, 1] = [0.0, 1.0]   # stream 1 always centroid 1
         vals[4, 1] = [1.0, 0.0]
-        blk = DescriptorBlock("posx", None, vals, np.arange(5),
-                              [(0,), (1,)], np.zeros((5, 2), dtype=bool))
+        blk = DescriptorBlock("posx", None, vals, [(0,), (1,)],
+                              np.zeros((5, 2), dtype=bool))
         return {"posx": blk}
 
     def _books(self):

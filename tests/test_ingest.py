@@ -21,6 +21,13 @@ def _keypoints(conf=0.9, x0=100.0):
     return pts
 
 
+# A coordinate or confidence that is not a finite number, and the error.
+BAD_VALUES = [("abc", "not a number"), ([1, 2], "not a number"),
+              (None, "joint 4 .* not finite"),
+              (float("nan"), "joint 4 .* not finite"),
+              (float("inf"), "joint 4 .* not finite")]
+
+
 class TestParseFrame:
     def test_valid_frame(self):
         pose = ingest.parse_keypoint_frame(_doc(_keypoints()))
@@ -52,6 +59,16 @@ class TestParseFrame:
             ingest.parse_keypoint_frame(_doc([1.0, 2.0, 0.5]))
         with pytest.raises(ingest.NoPerson):
             ingest.parse_keypoint_frame(json.dumps({"people": []}))
+        with pytest.raises(ingest.MalformedFile):
+            ingest.parse_keypoint_frame(json.dumps(
+                {"people": [{"pose_keypoints_2d": 5}]}))
+
+    @pytest.mark.parametrize("value,message", BAD_VALUES)
+    def test_bad_value(self, value, message):
+        pts = _keypoints()
+        pts[3 * 4 + 1] = value  # joint 4's y
+        with pytest.raises(ingest.MalformedFile, match=message):
+            ingest.parse_keypoint_frame(_doc(pts))
 
 
 class TestLoadSequence:
@@ -93,6 +110,17 @@ class TestLoadSequence:
         (d2 / "frame.json").write_text(_doc(_keypoints()))
         with pytest.raises(ingest.MixedSchema):
             ingest.load_sequence(d2, 24.0)
+
+    @pytest.mark.parametrize("text", [
+        "{not json", *(_doc([v] + _keypoints()[1:]) for v, _ in BAD_VALUES)])
+    def test_malformed_frame_names_its_file(self, tmp_path, text):
+        d = tmp_path / "clip"
+        d.mkdir()
+        self._write(d, 0)
+        self._write(d, 1, text)
+        with pytest.raises(ingest.MalformedFile) as err:
+            ingest.load_sequence(d, 24.0)
+        assert str(err.value).startswith(f"{d / 'frame_000001.json'}: ")
 
 
 class TestManifest:
