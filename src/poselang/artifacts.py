@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bodylang, codebook, neural
-from .core import (EMOTION_NAMES, TRACKS, InvariantViolated, PipelineConfig,
-                   PoselangError)
+from .core import (EMOTION_NAMES, TRACKS, BodyLanguageSequence,
+                   InvariantViolated, PipelineConfig, PoselangError)
 from .ingest import SPLITS
 
 
@@ -78,18 +78,13 @@ def _made(directory: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Stage-1 artifacts
 
-def save_preprocessed(workdir: Path, config: PipelineConfig, sequences,
-                      reports) -> Path:
-    out = _made(workdir / "preprocessed")
-    report = []
-    for clip_id, seq in sequences.items():
-        np.savez(out / f"{clip_id}.npz", xy=seq.xy, confidence=seq.confidence)
-        report.extend(reports[clip_id].lines())
-    (out / "meta.txt").write_text(
-        f"config_hash={config.config_hash()}\nseed={config.seed}\n")
-    (out / "repair_report.csv").write_text(
-        "\n".join(report) + "\n" if report else "")
-    return out
+def save_repair_report(workdir: Path, reports) -> Path:
+    """`clip_id,joint,frames_repaired` rows, in clip-id order."""
+    path = _made(workdir / "preprocessed") / "repair_report.csv"
+    lines = [line for clip_id in sorted(reports)
+             for line in reports[clip_id].lines()]
+    path.write_text("\n".join(lines) + "\n" if lines else "")
+    return path
 
 
 def save_codebooks(workdir: Path, track: str, books,
@@ -208,7 +203,7 @@ def _write_csv(path: Path, config: PipelineConfig, rows) -> Path:
     return path
 
 
-def prediction_rows(pred: bodylang.BodyLanguageSequence, label_sets):
+def prediction_rows(pred: BodyLanguageSequence, label_sets):
     """CSV rows `clip_id,track,window_index,class,confidence`."""
     for track, ids, confs in (("upper", pred.upper, pred.upper_conf),
                               ("lower", pred.lower, pred.lower_conf)):
@@ -226,7 +221,7 @@ def save_predictions(workdir: Path, feature_kind: str, split: str, preds,
 
 
 def load_predictions(workdir: Path, feature_kind: str, split: str, ds
-                     ) -> dict[str, bodylang.BodyLanguageSequence]:
+                     ) -> dict[str, BodyLanguageSequence]:
     """One split's stage-1 predictions, read back into sequences.
 
     Each clip of the split needs rows on both tracks, with window indices
@@ -278,25 +273,25 @@ def load_predictions(workdir: Path, feature_kind: str, split: str, ds
                 f"{where}: confidence {conf!r} is not a finite number")
         ids.append(ds.label_sets[track].index(cls))
     preds = {}
-    for clip_id in sorted(rows):
+    for clip_id in rows:
         (upper, upper_conf), (lower, lower_conf) = rows[clip_id].values()
         if not upper or len(upper) != len(lower):
             raise CorruptArtifact(f"{path}: clip {clip_id} has {len(upper)} "
                                   f"upper and {len(lower)} lower rows")
-        preds[clip_id] = bodylang.BodyLanguageSequence(
+        preds[clip_id] = BodyLanguageSequence(
             clip_id=clip_id, upper=np.array(upper), lower=np.array(lower),
             upper_conf=np.array(upper_conf), lower_conf=np.array(lower_conf))
     return preds
 
 
-def load_split_predictions(workdir: Path, source: str, feature_kind: str, ds,
-                           splits=SPLITS):
-    """Each of `splits`' stage-1 predictions for `--source pred`, else
-    None."""
+def load_stage2_sequences(workdir: Path, source: str, feature_kind: str, ds,
+                          splits=SPLITS) -> dict[str, BodyLanguageSequence]:
+    """The window-label sequences stage 2 reads, keyed by clip id: `ds.gt`
+    for `--source gt`, else the stage-1 predictions of `splits`."""
     if source != "pred":
-        return None
-    return {split: load_predictions(workdir, feature_kind, split, ds)
-            for split in splits}
+        return ds.gt
+    return {clip_id: pred for split in splits for clip_id, pred in
+            load_predictions(workdir, feature_kind, split, ds).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +302,7 @@ def save_stage2_predictions(workdir: Path, tag: str, config: PipelineConfig,
     """`clip_id,emotion,<names>` or `clip_id,symptom,<ME|MDD>,<p>` rows."""
     if task == "emotion":
         rows = (f"{clip_id},emotion,"
-                + "|".join(EMOTION_NAMES[i] for i in np.flatnonzero(p.nhot))
+                + "|".join(EMOTION_NAMES[i] for i in np.flatnonzero(p >= 0.5))
                 for clip_id, p in predictions)
     else:
         rows = (f"{clip_id},symptom,{'ME' if p >= 0.5 else 'MDD'},{p:.6f}"

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import codebook as cb
 from . import ntraj, poseimage
-from .core import (LOWER_SUBSET, TRACKS, UPPER_SUBSET, LabelSet,
-                   PipelineConfig, PoselangError, data_lines)
+from .core import (LOWER_SUBSET, TRACKS, UPPER_SUBSET, BodyLanguageSequence,
+                   LabelSet, PipelineConfig, PoselangError, data_lines)
 from .ingest import MalformedFile
 
 CHI2_EPS = 1e-10
@@ -146,21 +146,6 @@ def knn_classify(feature: np.ndarray, store: ExemplarStore,
     _, class_id, ds = best
     confidence = 1.0 / (1.0 + sum(ds) / len(ds))
     return class_id, confidence
-
-
-@dataclass
-class BodyLanguageSequence:
-    """Per-window class ids for both tracks over one clip."""
-
-    clip_id: str
-    upper: np.ndarray
-    lower: np.ndarray
-    upper_conf: np.ndarray
-    lower_conf: np.ndarray
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.upper)
 
 
 def predict_sequence(seq, stores: dict[str, ExemplarStore],

@@ -118,14 +118,13 @@ def synth_gen(ctx, out_dir, scenario, clips_per_split, clip_len, noise_std,
 @click.pass_context
 @handle_errors
 def preprocess_cmd(ctx):
-    """Preprocess every clip; store arrays plus a repair report."""
-    workdir, config, ds = _setup(ctx)
+    """Preprocess every clip and write its joint-repair report."""
+    workdir, _, ds = _setup(ctx)
     # Ingest every clip before the first write, so a bad clip leaves no
     # partial output.
-    seqs = {clip_id: ds.sequences[clip_id]
-            for clip_id in sorted(e.clip_id for e in ds.manifest.entries)}
-    out = artifacts.save_preprocessed(workdir, config, seqs, ds.reports)
-    click.echo(f"preprocessed {len(seqs)} clips -> {out}")
+    seqs = [ds.sequences[clip_id] for clip_id in sorted(ds.sequences)]
+    path = artifacts.save_repair_report(workdir, ds.sequences.reports)
+    click.echo(f"preprocessed {len(seqs)} clips -> {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def exemplars_build(ctx, ex_manifest, feature_kind, per_class):
     """Build per-track exemplar feature stores."""
     workdir, config, ds = _setup(ctx)
     if ex_manifest is None:
-        rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
+        rows = synth.pick_exemplars(ds.manifest, ds.gt, ds.label_sets,
                                     config.window_stride, per_class,
                                     config.seed)
     else:
@@ -229,10 +228,10 @@ def bodylang_predict(ctx, feature_kind, split):
 def _stage2_data(ctx, hist_len, stride, source, feature_kind, splits):
     workdir, config, ds = _setup(ctx)
     hist_len = 10 ** 9 if hist_len == 0 else hist_len  # L=K: whole track
-    preds = artifacts.load_split_predictions(workdir, source, feature_kind,
-                                             ds, splits)
+    seqs = artifacts.load_stage2_sequences(workdir, source, feature_kind, ds,
+                                           splits)
     return workdir, config, ds, pipeline.stage2_splits(ds, hist_len, stride,
-                                                       preds, splits)
+                                                       seqs, splits)
 
 
 _stage2_options = [
@@ -345,8 +344,8 @@ def sweep_cmd(ctx, axis, source, feature_kind):
         lines = pipeline.sweep_codebook_size(ds)
     elif axis == "LS":
         lines = pipeline.sweep_histogram_window(
-            ds, artifacts.load_split_predictions(workdir, source,
-                                                 feature_kind, ds))
+            ds, artifacts.load_stage2_sequences(workdir, source,
+                                                feature_kind, ds))
     elif axis == "datafrac":
         lines = pipeline.sweep_data_fraction(ds)
     else:

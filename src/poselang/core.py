@@ -123,6 +123,22 @@ class PoseSequence:
         return PoseSequence(**data)
 
 
+@dataclass
+class BodyLanguageSequence:
+    """Per-window class ids for both tracks over one clip: stage-1
+    predictions, or ground truth with unit confidences."""
+
+    clip_id: str
+    upper: np.ndarray
+    lower: np.ndarray
+    upper_conf: np.ndarray
+    lower_conf: np.ndarray
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.upper)
+
+
 @dataclass(frozen=True)
 class JointSubset:
     """An ordered selection of joint indices."""

@@ -3,8 +3,6 @@ multi-label emotion prediction, and binary symptom prediction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import metrics, neural
@@ -63,12 +61,6 @@ def net_inputs(hist: np.ndarray) -> np.ndarray:
     return hist / np.maximum(half, 1.0)
 
 
-@dataclass
-class EmotionPrediction:
-    probabilities: np.ndarray  # (25,)
-    nhot: np.ndarray           # (25,) ints
-
-
 def predict_probabilities(net, inputs) -> np.ndarray:
     """(n, n_out) probabilities for `n` variable-length net inputs.
 
@@ -91,12 +83,10 @@ def _head_probabilities(hists, net, n_out: int, task: str) -> np.ndarray:
     return predict_probabilities(net, [net_inputs(h) for h in hists])
 
 
-def predict_emotion(hists, net) -> list[EmotionPrediction]:
-    """Per-class sigmoid probabilities with a 0.5 presence threshold, one
-    prediction per histogram sequence."""
-    probs = _head_probabilities(hists, net, N_EMOTIONS, "emotion")
-    return [EmotionPrediction(probabilities=p, nhot=(p >= 0.5).astype(int))
-            for p in probs]
+def predict_emotion(hists, net) -> np.ndarray:
+    """(n, 25) per-class sigmoid probabilities, one row per histogram
+    sequence; an emotion is present at probability >= 0.5."""
+    return _head_probabilities(hists, net, N_EMOTIONS, "emotion")
 
 
 def predict_symptom(hists, net) -> np.ndarray:

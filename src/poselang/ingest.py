@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (EMOTION_NAMES, N_JOINTS, SYMPTOM_NAMES, PoseSequence,
-                   PoselangError, data_lines)
+from .core import (EMOTION_NAMES, N_JOINTS, SYMPTOM_NAMES,
+                   BodyLanguageSequence, LabelSet, PoseSequence, PoselangError,
+                   data_lines)
 
 MIN_JOINT_CONFIDENCE = 0.1
 _FRAME_RE = re.compile(r"(\d+)")
@@ -180,6 +181,7 @@ class ManifestEntry:
     split: str
     labels: dict[str, tuple[str, ...]] = field(default_factory=dict)
     window_labels_path: str | None = None
+    where: str = ""  # `<manifest> line <n>`, for errors about this entry
 
 
 @dataclass
@@ -188,7 +190,9 @@ class DatasetManifest:
     root: Path
 
     def split(self, name: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.split == name]
+        """The split's entries in clip-id order."""
+        return sorted((e for e in self.entries if e.split == name),
+                      key=lambda e: e.clip_id)
 
     def by_id(self, clip_id: str) -> ManifestEntry:
         for e in self.entries:
@@ -250,29 +254,44 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
         window_path = parts[5].strip() if len(parts) > 5 and parts[5].strip() else None
         entries.append(ManifestEntry(
             clip_id=clip_id, path=clip_path, frame_rate=frame_rate,
-            split=split, labels=labels, window_labels_path=window_path))
+            split=split, labels=labels, window_labels_path=window_path,
+            where=where))
     if not entries:
         raise EmptyManifest(f"{path} holds no entries")
     return DatasetManifest(entries=entries, root=path.parent)
 
 
-def load_window_labels(path) -> list[tuple[str, str]]:
-    """Read per-window ground truth: `window_index,upper,lower` lines."""
+def load_window_labels(path, label_sets: dict[str, LabelSet],
+                       clip_id: str) -> BodyLanguageSequence:
+    """Read per-window ground truth, `window_index,upper,lower` lines, as
+    class ids with unit confidences."""
     path = Path(path)
-    rows: list[tuple[str, str]] = []
+    upper_ids = {name: i for i, name in enumerate(label_sets["upper"].names)}
+    lower_ids = {name: i for i, name in enumerate(label_sets["lower"].names)}
+    upper: list[int] = []
+    lower: list[int] = []
+
+    def bad(problem: str) -> MalformedFile:
+        return MalformedFile(f"{path} line {lineno}: {problem}")
+
     for lineno, line in data_lines(path):
         parts = line.split(",")
-        where = f"{path.name} line {lineno}"
         if len(parts) != 3:
-            raise MalformedFile(f"{where}: expected 3 columns, got {len(parts)}")
-        idx, upper, lower = parts
+            raise bad(f"expected 3 columns, got {len(parts)}")
+        idx, up, lo = parts
         try:
             index = int(idx)
         except ValueError:
-            raise MalformedFile(
-                f"{where}: window index {idx!r} is not an integer") from None
-        if index != len(rows):
-            raise MalformedFile(
-                f"{where}: window index {index}, expected {len(rows)}")
-        rows.append((upper.strip(), lower.strip()))
-    return rows
+            raise bad(f"window index {idx!r} is not an integer") from None
+        if index != len(upper):
+            raise bad(f"window index {index}, expected {len(upper)}")
+        up_id, lo_id = upper_ids.get(up.strip()), lower_ids.get(lo.strip())
+        if up_id is None or lo_id is None:
+            track, name = ("upper", up) if up_id is None else ("lower", lo)
+            raise bad(f"unknown {track} class {name.strip()!r}")
+        upper.append(up_id)
+        lower.append(lo_id)
+    ones = np.ones(len(upper))
+    return BodyLanguageSequence(
+        clip_id=clip_id, upper=np.array(upper, dtype=int),
+        lower=np.array(lower, dtype=int), upper_conf=ones, lower_conf=ones)

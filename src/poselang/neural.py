@@ -499,32 +499,6 @@ def train(net, inputs, targets, spec: TrainSpec):
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-
-def gradient_check(net, x, y, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    loss_fn = loss_for(y)
-    _, dlogits = loss_fn(net.forward(x), y)
-    net.backward(dlogits)
-    analytic = [g.copy() for g in net.grads()]
-
-    worst = 0.0
-    for p, g in zip(net.params(), analytic):
-        flat, gflat = p.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = loss_fn(net.forward(x), y)
-            flat[i] = orig - h
-            lm, _ = loss_fn(net.forward(x), y)
-            flat[i] = orig
-            numeric = (lp - lm) / (2 * h)
-            denom = max(abs(numeric) + abs(gflat[i]), 1e-8)
-            worst = max(worst, abs(numeric - gflat[i]) / denom)
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints: the header names the net's kind, constructor config and
 # seed; the payload holds its parameters, flattened in `params()` order.
 

@@ -145,9 +145,3 @@ def extract_descriptors(seq, subset: JointSubset, traj_len: int,
         out[key] = DescriptorBlock(blk.kind, blk.gap, values, blk.scopes,
                                    degenerate)
     return out
-
-
-def descriptor_count(n_frames: int, traj_len: int, gap: int | None) -> int:
-    """Start-frame count for one stream."""
-    s = gap or 0
-    return max(0, n_frames - traj_len + 1 - s)

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
 from .core import (ADMISSIBLE_CODEBOOK_SIZES, EMOTION_NAMES, TRACKS,
-                   LabelSet, PipelineConfig, PoselangError, PoseSequence,
-                   load_label_sets)
+                   BodyLanguageSequence, LabelSet, PipelineConfig,
+                   PoselangError, PoseSequence, load_label_sets)
 
 
 class WindowCountMismatch(PoselangError):
@@ -37,17 +37,15 @@ class ClipSequences(Mapping):
 
     Stage 2 and evaluation read only labels, so a command pays for the
     keypoint files of exactly the clips it touches.  Each clip's repair
-    report is stored into `reports` when the clip is loaded.  The map
-    holds no reference to its Dataset, so the two form no cycle.
+    report is stored into `reports` when the clip is loaded.
     """
 
     def __init__(self, manifest: ingest.DatasetManifest,
-                 config: PipelineConfig,
-                 reports: dict[str, preprocess.RepairReport]):
+                 config: PipelineConfig):
         self._entries = {e.clip_id: e for e in manifest.entries}
         self._root = manifest.root
         self._config = config
-        self._reports = reports
+        self.reports: dict[str, preprocess.RepairReport] = {}
         self._loaded: dict[str, PoseSequence] = {}
 
     def __getitem__(self, clip_id: str) -> PoseSequence:
@@ -56,7 +54,7 @@ class ClipSequences(Mapping):
             entry = self._entries[clip_id]
             raw = ingest.load_sequence(self._root / entry.path,
                                        entry.frame_rate)
-            seq, self._reports[clip_id] = preprocess.preprocess(
+            seq, self.reports[clip_id] = preprocess.preprocess(
                 raw, self._config)
             self._loaded[clip_id] = seq
         return seq
@@ -79,9 +77,8 @@ class Dataset:
     manifest: ingest.DatasetManifest
     label_sets: dict[str, LabelSet]
     config: PipelineConfig
-    sequences: Mapping[str, PoseSequence]
-    reports: dict[str, preprocess.RepairReport]
-    gt_windows: dict[str, list[tuple[str, str]]]
+    sequences: ClipSequences
+    gt: dict[str, BodyLanguageSequence]  # window labels as class ids
 
 
 def load_dataset(manifest_path, config: PipelineConfig) -> Dataset:
@@ -91,13 +88,11 @@ def load_dataset(manifest_path, config: PipelineConfig) -> Dataset:
     root = manifest_path.parent
     label_sets = load_label_sets(root / "labels.csv")
     manifest = ingest.load_manifest(manifest_path, label_sets)
-    gt_windows = {e.clip_id: ingest.load_window_labels(
-                      root / e.window_labels_path)
-                  for e in manifest.entries if e.window_labels_path}
-    reports: dict[str, preprocess.RepairReport] = {}
+    gt = {e.clip_id: ingest.load_window_labels(
+              root / e.window_labels_path, label_sets, e.clip_id)
+          for e in manifest.entries if e.window_labels_path}
     return Dataset(manifest=manifest, label_sets=label_sets, config=config,
-                   sequences=ClipSequences(manifest, config, reports),
-                   reports=reports, gt_windows=gt_windows)
+                   sequences=ClipSequences(manifest, config), gt=gt)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,7 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
     config = ds.config
     subset = bodylang.subset_for(track)
     pools: dict[str, list[np.ndarray]] = {}
-    for entry in sorted(ds.manifest.split("train"), key=lambda e: e.clip_id):
+    for entry in ds.manifest.split("train"):
         blocks = ntraj.extract_descriptors(
             ds.sequences[entry.clip_id], subset, config.traj_len, config.gaps)
         for kind, blk in blocks.items():
@@ -143,25 +138,24 @@ def train_encoders(ds: Dataset, spec: neural.TrainSpec,
                    clip_ids=None) -> dict[str, neural.ConvEncoder]:
     """One encoder per track, both trained on one render of the pose images
     of every ground-truth-labeled training window."""
-    ids = clip_ids if clip_ids is not None else sorted(
-        e.clip_id for e in ds.manifest.split("train"))
+    ids = clip_ids if clip_ids is not None else [
+        e.clip_id for e in ds.manifest.split("train")]
     images, gt = [], []
     for clip_id in ids:
-        clip_gt = ds.gt_windows.get(clip_id)
-        if not clip_gt:
+        clip_gt = ds.gt.get(clip_id)
+        if clip_gt is None or not clip_gt.n_windows:
             continue
         imgs = bodylang.window_images(ds.sequences[clip_id], ds.config)
-        _check_window_count(clip_id, len(imgs), len(clip_gt))
+        _check_window_count(clip_id, len(imgs), clip_gt.n_windows)
         images.append(imgs)
-        gt.extend(clip_gt)
+        gt.append(clip_gt)
     images = np.concatenate(images)
     encoders = {}
-    for track_idx, track in enumerate(TRACKS):
-        lset = ds.label_sets[track]
-        labels = np.array([lset.index(g[track_idx]) for g in gt], dtype=int)
+    for track, labels in (("upper", np.concatenate([g.upper for g in gt])),
+                          ("lower", np.concatenate([g.lower for g in gt]))):
         encoders[track] = neural.ConvEncoder(
             in_hw=ds.config.pose_image_size, in_channels=2,
-            n_classes=len(lset), seed=spec.seed)
+            n_classes=len(ds.label_sets[track]), seed=spec.seed)
         neural.train(encoders[track], images, labels, spec)
     return encoders
 
@@ -196,9 +190,9 @@ def build_stores(ds: Dataset, rows, feature_kind: str,
 # Stage-1 prediction and evaluation
 
 def predict_split(ds: Dataset, split: str, stores,
-                  models) -> dict[str, bodylang.BodyLanguageSequence]:
+                  models) -> dict[str, BodyLanguageSequence]:
     preds = {}
-    for entry in sorted(ds.manifest.split(split), key=lambda e: e.clip_id):
+    for entry in ds.manifest.split(split):
         preds[entry.clip_id] = bodylang.predict_sequence(
             ds.sequences[entry.clip_id], stores, ds.config, models)
     return preds
@@ -207,7 +201,7 @@ def predict_split(ds: Dataset, split: str, stores,
 def evaluate_exemplar_knn(ds: Dataset, feature_kind: str, models):
     """Pick exemplars, build stores, predict the test split and score it:
     (window accuracy, video-level scores)."""
-    rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
+    rows = synth.pick_exemplars(ds.manifest, ds.gt, ds.label_sets,
                                 ds.config.window_stride, seed=ds.config.seed)
     stores = build_stores(ds, rows, feature_kind, models)
     preds = predict_split(ds, "test", stores, models)
@@ -219,16 +213,13 @@ def window_accuracy(ds: Dataset, preds) -> dict[str, float]:
     correct = {"upper": 0, "lower": 0}
     total = 0
     for clip_id, pred in preds.items():
-        gt = ds.gt_windows.get(clip_id)
-        if not gt:
+        gt = ds.gt.get(clip_id)
+        if gt is None or not gt.n_windows:
             continue
-        for track, ids in (("upper", pred.upper), ("lower", pred.lower)):
-            _check_window_count(clip_id, len(ids), len(gt))
-            lset = ds.label_sets[track]
-            idx = 0 if track == "upper" else 1
-            correct[track] += sum(lset.names[c] == g[idx]
-                                  for c, g in zip(ids, gt))
-        total += len(gt)
+        _check_window_count(clip_id, pred.n_windows, gt.n_windows)
+        correct["upper"] += int((pred.upper == gt.upper).sum())
+        correct["lower"] += int((pred.lower == gt.lower).sum())
+        total += gt.n_windows
     if total == 0:
         return {"upper": float("nan"), "lower": float("nan"), "overall": float("nan")}
     out = {track: correct[track] / total for track in correct}
@@ -257,68 +248,52 @@ def video_multilabel(ds: Dataset, preds) -> dict[str, metrics.MultilabelScores]:
 # ---------------------------------------------------------------------------
 # Stage 2
 
-def gt_sequence(ds: Dataset, clip_id: str) -> bodylang.BodyLanguageSequence:
-    """Ground-truth window labels wrapped as a prediction sequence."""
-    gt = ds.gt_windows[clip_id]
-    upper = np.array([ds.label_sets["upper"].index(up) for up, _ in gt])
-    lower = np.array([ds.label_sets["lower"].index(lo) for _, lo in gt])
-    ones = np.ones(len(gt))
-    return bodylang.BodyLanguageSequence(
-        clip_id=clip_id, upper=upper, lower=lower, upper_conf=ones,
-        lower_conf=ones)
+def _stage2_labels(entry: ingest.ManifestEntry, channel: str):
+    """The entry's `channel` names; stage 2 needs them stated."""
+    if channel not in entry.labels:
+        raise ingest.UnknownLabel(f"{entry.where}: no {channel} channel; "
+                                  f"stage 2 needs emotion and symptom labels")
+    return entry.labels[channel]
 
 
 def emotion_nhot(entry: ingest.ManifestEntry) -> np.ndarray:
     vec = np.zeros(emotion.N_EMOTIONS, dtype=int)
-    for name in entry.labels.get("emotion", ()):
+    for name in _stage2_labels(entry, "emotion"):
         vec[EMOTION_NAMES.index(name)] = 1
     return vec
 
 
 def symptom_label(entry: ingest.ManifestEntry) -> int:
-    return int(entry.labels.get("symptom", ("MDD",))[0] == "ME")
+    return int(_stage2_labels(entry, "symptom")[0] == "ME")
 
 
-def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int,
-                preds=None):
-    """(histogram sequence, emotion nhot, symptom) triples for one split.
-
-    Uses stage-1 predictions when given, otherwise ground-truth sequences.
-    """
-    data = []
-    for entry in sorted(ds.manifest.split(split), key=lambda e: e.clip_id):
-        if preds is not None:
-            seq_pred = preds[entry.clip_id]
-        else:
-            seq_pred = gt_sequence(ds, entry.clip_id)
-        hist = emotion.histogram_sequence(seq_pred, ds.label_sets,
-                                          hist_len, stride)
-        data.append((hist, emotion_nhot(entry), symptom_label(entry)))
-    return data
+def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int, seqs):
+    """(histogram sequence, emotion nhot, symptom) triples for one split,
+    from `seqs`: `ds.gt` or stage-1 predictions, keyed by clip id."""
+    return [(emotion.histogram_sequence(seqs[e.clip_id], ds.label_sets,
+                                        hist_len, stride),
+             emotion_nhot(e), symptom_label(e))
+            for e in ds.manifest.split(split)]
 
 
-def stage2_splits(ds: Dataset, hist_len: int, stride: int, preds=None,
+def stage2_splits(ds: Dataset, hist_len: int, stride: int, seqs,
                   splits=ingest.SPLITS):
-    """`stage2_data` for each of `splits`; `preds` maps each split to its
-    stage-1 predictions, or is None for ground-truth sequences."""
-    return {split: stage2_data(ds, split, hist_len, stride,
-                               None if preds is None else preds[split])
+    """`stage2_data` for each of `splits`."""
+    return {split: stage2_data(ds, split, hist_len, stride, seqs)
             for split in splits}
 
 
 def predict_stage2(ds: Dataset, net, test_data, task: str):
-    """(clip id, EmotionPrediction or manic-episode probability) pairs."""
+    """(clip id, emotion probabilities or P(manic episode)) pairs."""
     predict = emotion.predict_emotion if task == "emotion" \
         else emotion.predict_symptom
-    entries = sorted(ds.manifest.split("test"), key=lambda e: e.clip_id)
-    return list(zip((e.clip_id for e in entries),
+    return list(zip((e.clip_id for e in ds.manifest.split("test")),
                     predict([hist for hist, _, _ in test_data], net)))
 
 
 def evaluate_stage2_emotion(net, data) -> metrics.MultilabelScores:
-    preds = emotion.predict_emotion([h for h, _, _ in data], net)
-    truth = [e for _, e, _ in data]
-    return metrics.multilabel_scores([p.nhot for p in preds], truth)
+    probs = emotion.predict_emotion([h for h, _, _ in data], net)
+    return metrics.multilabel_scores(probs >= 0.5, [e for _, e, _ in data])
 
 
 def evaluate_stage2_symptom(net, data) -> float:
@@ -342,15 +317,15 @@ def sweep_codebook_size(ds: Dataset) -> list[str]:
     return lines
 
 
-def sweep_histogram_window(ds: Dataset, preds=None) -> list[str]:
-    """Emotion scores at L=S=1, the configured L/S, and L=S=K."""
+def sweep_histogram_window(ds: Dataset, seqs) -> list[str]:
+    """Emotion scores on `seqs` at L=S=1, the configured L/S, and L=S=K."""
     config = ds.config
     lines = ["L,S,accuracy,precision,recall,f1"]
-    K = min(len(g) for g in ds.gt_windows.values()) if ds.gt_windows \
-        else config.emo_hist_len
+    K = min((g.n_windows for g in ds.gt.values()),
+            default=config.emo_hist_len)
     for L, S in ((1, 1), (config.emo_hist_len, config.emo_hist_stride),
                  (K, K)):
-        data = stage2_splits(ds, L, S, preds)
+        data = stage2_splits(ds, L, S, seqs)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=400,
                                 batch_size=16, seed=config.seed)
         emo_net, _ = emotion.train_stage2(
@@ -366,7 +341,7 @@ def sweep_data_fraction(ds: Dataset) -> list[str]:
     """ST-Conv window accuracy with encoders trained on 100, 50 and 20 %
     of the training clips."""
     lines = ["fraction,track,window_accuracy"]
-    train_ids = sorted(e.clip_id for e in ds.manifest.split("train"))
+    train_ids = [e.clip_id for e in ds.manifest.split("train")]
     spec = neural.TrainSpec(learning_rate=0.05, epochs=90,
                             seed=ds.config.seed)
     accs = {}

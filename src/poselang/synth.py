@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .bodylang import BodyLanguageSequence, window_starts
-from .core import LabelSet, PipelineConfig, PoseSequence
+from .bodylang import window_starts
+from .core import BodyLanguageSequence, LabelSet, PipelineConfig, PoseSequence
 
 BACKGROUND = "background"
 
@@ -221,80 +221,6 @@ def order_rich_emotion_rules() -> tuple[EmotionRule, ...]:
         rules.append(EmotionRule("order", track, b, a, emotion=emo + 1))
         emo += 2
     return tuple(rules)
-
-
-def order_only_emotion_rules() -> tuple[EmotionRule, ...]:
-    """Every emotion depends on which of a class pair appears first, so a
-    video-level histogram carries no usable signal."""
-    pairs = (
-        ("upper", "arms_crossed", "wave"),
-        ("lower", "legs_crossed", "pacing"),
-        ("upper", "hands_on_head", "fidget_hands"),
-        ("lower", "foot_tap", "knee_bounce"),
-        ("upper", "reach_out", "nod"),
-        ("lower", "lean", "legs_tucked"),
-    )
-    rules = []
-    emo = 0
-    for track, a, b in pairs:
-        rules.append(EmotionRule("order", track, a, b, emotion=emo))
-        rules.append(EmotionRule("order", track, b, a, emotion=emo + 1))
-        emo += 2
-    return tuple(rules)
-
-
-def label_sequence_dataset(n_clips: int, n_windows: int,
-                           label_sets: dict[str, LabelSet],
-                           rules, corrupt_prob: float, seed: int = 0,
-                           background_prob: float = 0.15,
-                           segment_range: tuple[int, int] = (4, 8)):
-    """Window-label sequences with a controlled corruption rate.
-
-    Bypasses the pose pipeline: segments are drawn directly on the window
-    grid, emotions derive from the clean sequence, and each window label
-    is independently replaced with probability `corrupt_prob` — a stand-in
-    for stage-1 prediction noise.  Returns (clean, noisy, emotion n-hot)
-    triples of BodyLanguageSequence.
-    """
-    out = []
-    for i in range(n_clips):
-        rng = np.random.default_rng((seed, 900, i))
-        tracks = {}
-        for track in ("upper", "lower"):
-            names = list(label_sets[track].names)
-            non_bg = names[:-1]
-            seq: list[str] = []
-            while len(seq) < n_windows:
-                length = int(rng.integers(*segment_range))
-                if rng.random() < background_prob:
-                    name = BACKGROUND
-                else:
-                    name = non_bg[rng.integers(len(non_bg))]
-                seq.extend([name] * length)
-            tracks[track] = seq[:n_windows]
-        window_labels = list(zip(tracks["upper"], tracks["lower"]))
-        emotions = emotions_from_windows(window_labels, rules)
-
-        def ids(track):
-            lset = label_sets[track]
-            return np.array([lset.index(n) for n in tracks[track]])
-
-        clean = {t: ids(t) for t in ("upper", "lower")}
-        noisy = {}
-        for track in ("upper", "lower"):
-            arr = clean[track].copy()
-            flip = rng.random(n_windows) < corrupt_prob
-            arr[flip] = rng.integers(len(label_sets[track]), size=int(flip.sum()))
-            noisy[track] = arr
-        ones = np.ones(n_windows)
-
-        def mk(d):
-            return BodyLanguageSequence(
-                clip_id=f"lseq{i:04d}", upper=d["upper"], lower=d["lower"],
-                upper_conf=ones, lower_conf=ones)
-
-        out.append((mk(clean), mk(noisy), emotions))
-    return out
 
 
 def spread_motion_bias(clip_index: int) -> float:
@@ -522,7 +448,7 @@ def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig,
     return out_dir / "manifest.csv"
 
 
-def pick_exemplars(manifest, gt_by_clip: dict[str, list[tuple[str, str]]],
+def pick_exemplars(manifest, gt_by_clip: dict[str, BodyLanguageSequence],
                    label_sets: dict[str, LabelSet], window_stride: int,
                    per_class: int = 6,
                    seed: int = 0) -> list[tuple[str, str, int, str]]:
@@ -533,24 +459,23 @@ def pick_exemplars(manifest, gt_by_clip: dict[str, list[tuple[str, str]]],
     """
     rng = np.random.default_rng((seed, 101))
     rows: list[tuple[str, str, int, str]] = []
-    train_ids = sorted(e.clip_id for e in manifest.split("train"))
-    for track_idx, track in enumerate(("upper", "lower")):
-        for name in label_sets[track].names:
+    train = [gt_by_clip[e.clip_id] for e in manifest.split("train")]
+    for track in ("upper", "lower"):
+        for cls, name in enumerate(label_sets[track].names):
             per_clip: list[list[tuple[str, int]]] = []
-            for clip_id in train_ids:
-                windows = gt_by_clip[clip_id]
-                labels = [w[track_idx] for w in windows]
-                hits = [i for i, lab in enumerate(labels) if lab == name]
+            for gt in train:
+                labels = gt.upper if track == "upper" else gt.lower
+                hits = np.flatnonzero(labels == cls).tolist()
                 # Prefer windows inside a run of identical labels.
                 pure = [i for i in hits
                         if 0 < i < len(labels) - 1
-                        and labels[i - 1] == name and labels[i + 1] == name]
+                        and labels[i - 1] == cls and labels[i + 1] == cls]
                 pool = pure or hits
                 if pool:
                     # Order a clip's windows centre-out so the first pick
                     # per clip sits deepest inside its segment.
                     ordered = sorted(pool, key=lambda i: abs(i - pool[len(pool) // 2]))
-                    per_clip.append([(clip_id, i) for i in ordered])
+                    per_clip.append([(gt.clip_id, i) for i in ordered])
             if not per_clip:
                 continue
             order = rng.permutation(len(per_clip))

@@ -15,7 +15,8 @@ from click.testing import CliRunner
 
 from poselang import (bodylang, cli, codebook as cb, core, emotion, metrics,
                       neural, ntraj, pipeline, preprocess, synth)
-from helpers import make_sequence
+from helpers import (descriptor_count, gradient_check, label_sequence_dataset,
+                     make_sequence, order_only_emotion_rules)
 from test_neural import make_pool_safe_batch
 
 
@@ -35,7 +36,7 @@ def default_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("default_dataset")
     synth.generate_dataset(spec, root, config)
     ds = pipeline.load_dataset(root / "manifest.csv", config)
-    rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
+    rows = synth.pick_exemplars(ds.manifest, ds.gt, ds.label_sets,
                                 config.window_stride)
     return {"ds": ds, "rows": rows, "config": config,
             "elapsed": time.perf_counter() - t0}
@@ -97,7 +98,7 @@ def stage2_env(tmp_path_factory):
                            motion_bias_fn=synth.spread_motion_bias)
     ds = pipeline.load_dataset(root / "manifest.csv", config)
     books = {t: pipeline.train_codebooks(ds, t) for t in ("upper", "lower")}
-    rows = synth.pick_exemplars(ds.manifest, ds.gt_windows, ds.label_sets,
+    rows = synth.pick_exemplars(ds.manifest, ds.gt, ds.label_sets,
                                 config.window_stride)
     stores = pipeline.build_stores(ds, rows, bodylang.FEATURE_NTRAJ_PLUS,
                                    books)
@@ -173,7 +174,7 @@ def test_criterion_2_ntraj_descriptors():
                         if t0 + T <= stream_len)
             if blk.values.shape[0] != brute:
                 counts_ok = False
-            if ntraj.descriptor_count(n, T, blk.gap) != brute:
+            if descriptor_count(n, T, blk.gap) != brute:
                 counts_ok = False
 
     # (c) Inner angles are invariant to rotation (and translation).
@@ -337,19 +338,19 @@ def test_criterion_5_gradient_checks():
         x = rng.normal(size=(2, 8, 8, 2))
         y = rng.integers(0, 2, size=2)
         worst["conv_encoder"] = max(worst["conv_encoder"],
-                                    neural.gradient_check(enc, x, y))
+                                    gradient_check(enc, x, y))
 
         rec = neural.RecurrentNet(input_dim=3, hidden=4, n_out=2, seed=seed)
         x = rng.normal(size=(2, 5, 3))
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
         worst["recurrent"] = max(worst["recurrent"],
-                                 neural.gradient_check(rec, x, y))
+                                 gradient_check(rec, x, y))
 
         c1d = neural.Conv1DNet(input_dim=3, channels=4, n_out=2, seed=seed)
         x = make_pool_safe_batch(rng, (2, 6, 3), c1d)
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
         worst["conv1d"] = max(worst["conv1d"],
-                              neural.gradient_check(c1d, x, y))
+                              gradient_check(c1d, x, y))
     elapsed = time.perf_counter() - t0
     peak = max(worst.values())
     ok = peak < 1e-4 and elapsed < 60.0
@@ -391,10 +392,10 @@ def test_criterion_6_stage1_accuracy(default_env, ntraj_eval, stconv_eval):
 
 def test_criterion_7_histogram_window_ordering():
     lsets = synth.ScenarioSpec().label_sets()
-    rules = synth.order_only_emotion_rules()
+    rules = order_only_emotion_rules()
     n = 240
-    data = synth.label_sequence_dataset(3 * n, 60, lsets, rules,
-                                        corrupt_prob=0.25, seed=0)
+    data = label_sequence_dataset(3 * n, 60, lsets, rules,
+                                  corrupt_prob=0.25, seed=0)
     # A longer test split tightens the F1 estimates; the smaller validation
     # split is only used for early stopping.
     half = n + n // 2
@@ -406,8 +407,8 @@ def test_criterion_7_histogram_window_ordering():
                     for _, noisy, emo in splits[part]]
         emo_net, _ = emotion.train_stage2(mk("train"), mk("val"), lsets,
                                           STAGE2_SPEC, "emotion", patience=50)
-        preds = [p.nhot for p in emotion.predict_emotion(
-            [h for h, _, _ in mk("test")], emo_net)]
+        preds = emotion.predict_emotion(
+            [h for h, _, _ in mk("test")], emo_net) >= 0.5
         truth = [emo for _, _, emo in splits["test"]]
         f1[(L, S)] = metrics.multilabel_scores(preds, truth).f1
     f73, fK, f11 = f1[(7, 3)], f1[(10 ** 9, 1)], f1[(1, 1)]
@@ -424,7 +425,7 @@ def test_criterion_7_histogram_window_ordering():
 def test_criterion_8_symptom_gt_vs_predicted(stage2_env):
     ds, preds = stage2_env["ds"], stage2_env["preds"]
     accs = {}
-    for name, src in (("gt", None), ("pred", preds)):
+    for name, src in (("gt", ds.gt), ("pred", preds)):
         data = {split: pipeline.stage2_data(ds, split, ds.config.emo_hist_len,
                                             ds.config.emo_hist_stride, src)
                 for split in ("train", "val", "test")}

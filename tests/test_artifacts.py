@@ -259,19 +259,36 @@ def test_bad_config_names_file_and_line(runner, tmp_path, text, line,
     ("symptom:BOGUS", "symptom label 'BOGUS'"),
     ("symptom:", "the symptom channel needs exactly one label"),
     ("symptom:MDD|ME", "the symptom channel needs exactly one label"),
+    ("emotion", "no emotion channel"),
+    ("symptom", "no symptom channel"),
 ])
 def test_unknown_stage2_label_names_the_line(runner, workdir, tmp_path,
                                               channel, message):
-    shutil.copytree(workdir / "dataset", tmp_path / "dataset")
-    manifest = tmp_path / "dataset" / "manifest.csv"
-    lines = manifest.read_text().splitlines()
-    task = channel.partition(":")[0]
-    lines[1] = re.sub(task + r":[^;,]*", channel, lines[1])
-    manifest.write_text("\n".join(lines) + "\n")
+    _edit_second_line(workdir, tmp_path, channel)
     result = invoke(runner, tmp_path, "symptom", "train", "--epochs", "1")
     assert result.exit_code == 3, result.output
     assert f"manifest.csv line 2: {message}" in result.output
     assert not (tmp_path / "models").exists()
+
+
+def _edit_second_line(workdir, tmp_path, *channels):
+    """Copy the dataset and set the given channels of its second manifest
+    line; a channel name without a colon drops that channel."""
+    shutil.copytree(workdir / "dataset", tmp_path / "dataset")
+    manifest = tmp_path / "dataset" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    for channel in channels:
+        task, colon, _ = channel.partition(":")
+        lines[1] = re.sub(task + r":[^;,]*", channel if colon else "",
+                          lines[1])
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+def test_stage1_reads_a_line_without_stage2_labels(runner, workdir,
+                                                   tmp_path):
+    _edit_second_line(workdir, tmp_path, "emotion", "symptom")
+    result = invoke(runner, tmp_path, "preprocess")
+    assert result.exit_code == 0, result.output
 
 
 # ---------------------------------------------------------------------------

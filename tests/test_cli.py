@@ -43,11 +43,13 @@ class TestFlow:
         assert len(clips) == 9
 
     def test_preprocess(self, runner, workdir):
-        invoke(runner, workdir, "preprocess")
+        result = invoke(runner, workdir, "preprocess")
         out = workdir / "preprocessed"
-        assert len(list(out.glob("*.npz"))) == 9
-        meta = (out / "meta.txt").read_text()
-        assert "config_hash=" in meta
+        report = out / "repair_report.csv"
+        assert f"preprocessed 9 clips -> {report}" in result.output
+        # The clips are noiseless and whole, so no joint needed repair.
+        assert report.read_text() == ""
+        assert sorted(p.name for p in out.iterdir()) == ["repair_report.csv"]
 
     def test_codebooks(self, runner, workdir):
         invoke(runner, workdir, "codebook", "train")
@@ -162,8 +164,8 @@ def _write_gt_predictions(workdir, splits):
     for split in splits:
         lines = ["# ground truth as predictions"]
         for entry in ds.manifest.split(split):
-            lines.extend(artifacts.prediction_rows(
-                pipeline.gt_sequence(ds, entry.clip_id), ds.label_sets))
+            lines.extend(artifacts.prediction_rows(ds.gt[entry.clip_id],
+                                                   ds.label_sets))
         (out / f"{split}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -344,6 +346,26 @@ class TestExemplarManifest:
                         "--manifest", str(path), expect=3)
         assert f"{path}: no rows for the upper set" in result.output
         assert not (small_workdir / "exemplars").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--task", "bodylang"),
+    ("exemplars", "build"),
+    ("emotion", "train", "--epochs", "1"),
+])
+def test_unknown_window_label_class(runner, small_workdir, tmp_path, args):
+    """A ground-truth class outside the label sets stops the command when
+    the dataset loads, naming the file and line."""
+    shutil.copytree(small_workdir / "dataset", tmp_path / "dataset")
+    gt = tmp_path / "dataset" / "gt" / "clip001.csv"
+    lines = gt.read_text().splitlines()
+    index, _, lower = lines[2].split(",")
+    lines[2] = f"{index},nonsense,{lower}"
+    gt.write_text("\n".join(lines) + "\n")
+    result = invoke(runner, tmp_path, *args, expect=3)
+    assert ("gt/clip001.csv line 3: unknown upper class 'nonsense'"
+            in result.output)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
 
 
 class TestWindowCountMismatch:

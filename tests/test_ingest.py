@@ -177,14 +177,20 @@ class TestManifest:
             ingest.load_manifest(path)
 
 
+WINDOW_LABEL_SETS = {"upper": core.LabelSet.from_classes(["wave", "nod"]),
+                     "lower": core.LabelSet.from_classes(["lean"])}
+
+
 def test_load_window_labels(tmp_path):
     path = tmp_path / "gt.csv"
-    path.write_text("# w,upper,lower\n0,wave,lean\n1,background,lean\n")
-    rows = ingest.load_window_labels(path)
-    assert rows == [("wave", "lean"), ("background", "lean")]
+    path.write_text("# w,upper,lower\n0,wave,lean\n1,background, lean\n")
+    gt = ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")
+    assert gt.clip_id == "c7"
+    assert gt.upper.tolist() == [0, 2] and gt.lower.tolist() == [0, 0]
+    assert gt.upper_conf.tolist() == gt.lower_conf.tolist() == [1.0, 1.0]
     path.write_text("1,wave,lean\n")
     with pytest.raises(ingest.MalformedFile, match="gt.csv line 1"):
-        ingest.load_window_labels(path)
+        ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -192,9 +198,11 @@ def test_load_window_labels(tmp_path):
     ("0,wave,lean,extra\n", 1),            # long row
     ("# w,upper,lower\nx,wave,lean\n", 2),  # non-integer index
     ("0,wave,lean\n2,wave,lean\n", 2),     # out-of-order index
+    ("0,wave,lean\n1,lean,lean\n", 2),     # upper class of the other set
+    ("0,wave,nonsense\n", 1),              # unknown lower class
 ])
 def test_malformed_window_labels_name_the_line(tmp_path, text, line):
     path = tmp_path / "gt.csv"
     path.write_text(text)
     with pytest.raises(ingest.MalformedFile, match=f"gt.csv line {line}:"):
-        ingest.load_window_labels(path)
+        ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")

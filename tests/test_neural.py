@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import gradient_check
 from poselang import neural
 
 
@@ -270,21 +271,21 @@ class TestGradientChecks:
                                  n_classes=2, seed=1)
         x = rng.normal(size=(2, 8, 8, 2))
         y = np.array([0, 1])
-        assert neural.gradient_check(net, x, y) < 1e-4
+        assert gradient_check(net, x, y) < 1e-4
 
     def test_recurrent(self):
         rng = np.random.default_rng(11)
         net = neural.RecurrentNet(input_dim=3, hidden=4, n_out=2, seed=2)
         x = rng.normal(size=(2, 5, 3))
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
-        assert neural.gradient_check(net, x, y) < 1e-4
+        assert gradient_check(net, x, y) < 1e-4
 
     def test_conv1d(self):
         rng = np.random.default_rng(12)
         net = neural.Conv1DNet(input_dim=3, channels=4, n_out=2, seed=3)
         x = make_pool_safe_batch(rng, (2, 6, 3), net)
         y = rng.integers(0, 2, size=(2, 2)).astype(float)
-        assert neural.gradient_check(net, x, y) < 1e-4
+        assert gradient_check(net, x, y) < 1e-4
 
 
 class TestNets:

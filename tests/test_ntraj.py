@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poselang import core, ntraj
-from helpers import make_sequence
+from helpers import descriptor_count, make_sequence
 
 
 def test_stream_kind_order():
@@ -115,7 +115,7 @@ class TestDescriptors:
                 # stream one start frame at a time.
                 brute = sum(1 for t0 in range(n) if t0 + T <= n - s)
                 assert blk.values.shape[0] == brute
-                assert ntraj.descriptor_count(n, T, blk.gap) == brute
+                assert descriptor_count(n, T, blk.gap) == brute
 
     def test_kind_without_streams(self):
         # Two joints make one pair and no triple: the inner-angle block

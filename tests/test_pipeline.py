@@ -1,0 +1,49 @@
+"""Window ground truth as loaded by the dataset, and the window accuracy
+scored against it, each checked against the `gt/<clip>.csv` names."""
+
+import numpy as np
+
+from poselang import core, pipeline
+
+
+def _gt_names(root, entry):
+    """(upper, lower) class names per window, as the gt file spells them."""
+    text = (root / entry.window_labels_path).read_text()
+    return [tuple(line.split(",")[1:]) for line in text.splitlines()]
+
+
+def test_gt_holds_the_class_ids_of_the_gt_files(tiny_root, tiny_ds):
+    for entry in tiny_ds.manifest.entries:
+        names = _gt_names(tiny_root, entry)
+        gt = tiny_ds.gt[entry.clip_id]
+        assert gt.clip_id == entry.clip_id
+        for col, track in enumerate(core.TRACKS):
+            want = [tiny_ds.label_sets[track].names.index(row[col])
+                    for row in names]
+            assert (gt.upper if col == 0 else gt.lower).tolist() == want
+        assert gt.upper_conf.tolist() == [1.0] * len(names)
+        assert gt.lower_conf.tolist() == [1.0] * len(names)
+
+
+def test_window_accuracy_matches_a_name_comparison(tiny_root, tiny_ds):
+    rng = np.random.default_rng(3)
+    preds, correct, total = {}, {"upper": 0, "lower": 0}, 0
+    for entry in tiny_ds.manifest.split("test"):
+        gt, names = tiny_ds.gt[entry.clip_id], _gt_names(tiny_root, entry)
+        ids = {}
+        for col, track in enumerate(core.TRACKS):
+            lset = tiny_ds.label_sets[track]
+            ids[track] = np.where(
+                rng.random(gt.n_windows) < 0.3,
+                rng.integers(len(lset), size=gt.n_windows),
+                gt.upper if col == 0 else gt.lower)
+            correct[track] += sum(lset.names[c] == row[col]
+                                  for c, row in zip(ids[track], names))
+        total += len(names)
+        ones = np.ones(gt.n_windows)
+        preds[entry.clip_id] = core.BodyLanguageSequence(
+            clip_id=entry.clip_id, upper_conf=ones, lower_conf=ones, **ids)
+    want = {track: correct[track] / total for track in correct}
+    want["overall"] = (correct["upper"] + correct["lower"]) / (2 * total)
+    assert 0 < want["overall"] < 1
+    assert pipeline.window_accuracy(tiny_ds, preds) == want

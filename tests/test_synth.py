@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import label_sequence_dataset, order_only_emotion_rules
 from poselang import core, ingest, synth
 
 
@@ -35,7 +36,7 @@ class TestRules:
         sets = SPEC.label_sets()
         for rules in (synth.default_emotion_rules(),
                       synth.order_rich_emotion_rules(),
-                      synth.order_only_emotion_rules()):
+                      order_only_emotion_rules()):
             for rule in rules:
                 assert rule.emotion < 24
                 lset = sets[rule.track]
@@ -96,18 +97,20 @@ class TestGenerateDataset:
             assert len(man.split(split)) == 4
         # Ground truth was loaded for every clip and matches the grid.
         for entry in man.entries:
-            gt = tiny_ds.gt_windows[entry.clip_id]
+            gt = tiny_ds.gt[entry.clip_id]
             seq = tiny_ds.sequences[entry.clip_id]
             k = (seq.n_frames - config.window_len) // config.window_stride + 1
-            assert len(gt) == k
+            assert gt.n_windows == k
 
     def test_manifest_emotions_match_rules(self, tiny_root, tiny_ds):
         names = core.EMOTION_NAMES
         spec = synth.ScenarioSpec(clips_per_split=4, noise_std=0.0,
                                   dropout_rate=0.0)
+        up, lo = (tiny_ds.label_sets[t].names for t in core.TRACKS)
         for entry in tiny_ds.manifest.entries:
-            gt = tiny_ds.gt_windows[entry.clip_id]
-            vec = synth.emotions_from_windows(gt, spec.emotion_rules)
+            gt = tiny_ds.gt[entry.clip_id]
+            windows = [(up[u], lo[v]) for u, v in zip(gt.upper, gt.lower)]
+            vec = synth.emotions_from_windows(windows, spec.emotion_rules)
             expect = tuple(names[i] for i in np.flatnonzero(vec))
             assert entry.labels["emotion"] == expect
 
@@ -115,9 +118,9 @@ class TestGenerateDataset:
 class TestLabelSequenceDataset:
     def test_shapes_and_corruption_rate(self):
         sets = SPEC.label_sets()
-        rules = synth.order_only_emotion_rules()
-        data = synth.label_sequence_dataset(60, 40, sets, rules,
-                                            corrupt_prob=0.3, seed=1)
+        rules = order_only_emotion_rules()
+        data = label_sequence_dataset(60, 40, sets, rules,
+                                      corrupt_prob=0.3, seed=1)
         assert len(data) == 60
         flips = total = 0
         for clean, noisy, emo in data:
@@ -137,9 +140,9 @@ class TestLabelSequenceDataset:
 
     def test_deterministic(self):
         sets = SPEC.label_sets()
-        rules = synth.order_only_emotion_rules()
-        a = synth.label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
-        b = synth.label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
+        rules = order_only_emotion_rules()
+        a = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
+        b = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
         for (ca, na, ea), (cb, nb, eb) in zip(a, b):
             assert np.array_equal(na.upper, nb.upper)
             assert np.array_equal(ea, eb)
@@ -161,7 +164,7 @@ def test_stage2_scenario_overrides():
 
 class TestPickExemplars:
     def test_rows_consistent_with_gt(self, tiny_ds, config):
-        rows = synth.pick_exemplars(tiny_ds.manifest, tiny_ds.gt_windows,
+        rows = synth.pick_exemplars(tiny_ds.manifest, tiny_ds.gt,
                                     tiny_ds.label_sets, config.window_stride)
         assert rows
         train_ids = {e.clip_id for e in tiny_ds.manifest.split("train")}
@@ -170,7 +173,8 @@ class TestPickExemplars:
             assert clip_id in train_ids
             assert start % config.window_stride == 0
             w = start // config.window_stride
-            idx = 0 if track == "upper" else 1
-            assert tiny_ds.gt_windows[clip_id][w][idx] == cls
+            gt = tiny_ds.gt[clip_id]
+            ids = gt.upper if track == "upper" else gt.lower
+            assert tiny_ds.label_sets[track].names[ids[w]] == cls
             per_class[(track, cls)] = per_class.get((track, cls), 0) + 1
         assert max(per_class.values()) <= 6
