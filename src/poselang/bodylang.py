@@ -50,14 +50,22 @@ def window_images(seq, config: PipelineConfig) -> np.ndarray:
 
 
 def clip_features(seq, feature_kind: str, config: PipelineConfig,
-                  models) -> dict[str, np.ndarray]:
+                  models, windows=None) -> dict[str, np.ndarray]:
     """{track: (K, D) window features} for each track in `models`, which
     maps a track to its codebooks (NTraj+: bag-of-features histograms of
     the track's joints) or its encoder (ST-Conv: L2-normalized embeddings
-    of the clip's pose images, rendered once for every track)."""
+    of the clip's pose images, rendered once for every track).
+
+    `windows` (indices into the clip's sliding windows) keeps only those
+    rows.  NTraj+ then quantizes only the descriptors those windows cover;
+    ST-Conv still embeds every window, so that each embedding keeps the
+    bits of the full-clip batch.
+    """
     if feature_kind == FEATURE_NTRAJ_PLUS:
         starts = window_starts(seq.n_frames, config.window_len,
                                config.window_stride)
+        if windows is not None:
+            starts = starts[windows]
         order = ntraj.stream_kinds(config.gaps)
         return {track: cb.window_feature(
                     ntraj.extract_descriptors(seq, subset_for(track),
@@ -68,8 +76,9 @@ def clip_features(seq, feature_kind: str, config: PipelineConfig,
         raise PoselangError(f"unknown feature kind {feature_kind!r}")
     images = window_images(seq, config)
     embs = {track: encoder.embed(images) for track, encoder in models.items()}
-    return {track: emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
-                                    1e-12)
+    rows = slice(None) if windows is None else windows
+    return {track: (emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
+                                     1e-12))[rows]
             for track, emb in embs.items()}
 
 
@@ -113,13 +122,20 @@ def chi_square(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff / (a + b + CHI2_EPS)).sum(axis=-1)
 
 
+# Exemplar-distance elements per chunk of windows in `classify_windows`
+# (at least one window): each broadcast temporary stays within 256 KB, so
+# it stays in cache; larger chunks measured slower than one window at a time.
+DISTANCE_CHUNK = 1 << 15
+
+
 def _distances(feature: np.ndarray, store: ExemplarStore) -> np.ndarray:
+    """Distances from `feature` (..., D) to every exemplar: (..., n)."""
     if feature.shape[-1] != store.features.shape[1]:
         raise KindMismatch(
             f"feature dim {feature.shape[-1]} vs store {store.features.shape[1]}")
     if store.feature_kind == FEATURE_NTRAJ_PLUS:
         return chi_square(feature, store.features)
-    return np.linalg.norm(store.features - feature, axis=1)
+    return np.linalg.norm(store.features - feature, axis=-1)
 
 
 def knn_classify(feature: np.ndarray, store: ExemplarStore,
@@ -148,6 +164,38 @@ def knn_classify(feature: np.ndarray, store: ExemplarStore,
     return class_id, confidence
 
 
+def classify_windows(features: np.ndarray, store: ExemplarStore,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`knn_classify` of every row of `features`, as (class ids,
+    confidences), from one distance matrix.
+
+    Each row's distances, neighbor order, per-class sums (added in
+    neighbor order) and tie rules are those of `knn_classify`.
+    """
+    if len(store) == 0:
+        raise EmptyStore(store.track)
+    features = np.asarray(features, dtype=np.float64)
+    step = max(1, DISTANCE_CHUNK // store.features.size)
+    dists = np.empty((len(features), len(store)))
+    for lo in range(0, len(features), step):
+        dists[lo:lo + step] = _distances(features[lo:lo + step, None, :], store)
+    k = min(k, len(store))
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    near_labels = store.labels[nearest]
+    near_dists = np.take_along_axis(dists, nearest, axis=1)
+    rows = np.arange(len(features))
+    n_classes = int(store.labels.max()) + 1
+    counts = np.zeros((len(features), n_classes), dtype=int)
+    sums = np.zeros((len(features), n_classes))
+    for j in range(k):
+        counts[rows, near_labels[:, j]] += 1
+        sums[rows, near_labels[:, j]] += near_dists[:, j]
+    means = sums / np.maximum(counts, 1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    ids = np.argmin(np.where(tied, means, np.inf), axis=1)
+    return ids, 1.0 / (1.0 + means[rows, ids])
+
+
 def predict_sequence(seq, stores: dict[str, ExemplarStore],
                      config: PipelineConfig, models) -> BodyLanguageSequence:
     """Classify every sliding window on both tracks; `models` maps each
@@ -155,10 +203,8 @@ def predict_sequence(seq, stores: dict[str, ExemplarStore],
     feats = clip_features(seq, stores[TRACKS[0]].feature_kind, config, models)
     out = {}
     for track in TRACKS:
-        ids = out[track] = np.empty(len(feats[track]), dtype=int)
-        confs = out[f"{track}_conf"] = np.empty(len(feats[track]))
-        for w, f in enumerate(feats[track]):
-            ids[w], confs[w] = knn_classify(f, stores[track], config.knn_k)
+        out[track], out[f"{track}_conf"] = classify_windows(
+            feats[track], stores[track], config.knn_k)
     return BodyLanguageSequence(clip_id=seq.source_id, **out)
 
 

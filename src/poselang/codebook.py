@@ -38,14 +38,40 @@ class Codebook:
         return self.centroids.shape[0]
 
 
+# Rows per elementwise pass over the distance product: a block of 512 rows
+# by a 100-centroid codebook (400 KB) stays in cache across the passes.
+ROW_BLOCK = 512
+
+
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per point by the expanded ||p - c||^2, clamped at
+    0; ties resolve to the lowest index.
+
+    The product is one GEMM over all rows, so every row keeps the bits of
+    an unsplit product; the add, subtract, clamp and argmin then run over
+    cache-sized row blocks of it.
+    """
+    p2 = np.square(points).sum(axis=1)
+    c2 = np.square(centroids).sum(axis=1)
+    prod = 2.0 * points @ centroids.T
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    buf = np.empty((min(ROW_BLOCK, points.shape[0]), centroids.shape[0]))
+    for lo in range(0, points.shape[0], ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, points.shape[0])
+        d2 = buf[:hi - lo]
+        # p2 + c2 as a row fill plus a contiguous add: faster than the
+        # broadcast outer sum, and the same sums.
+        d2[:] = p2[lo:hi, None]
+        d2 += c2
+        np.subtract(d2, prod[lo:hi], out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        np.argmin(d2, axis=1, out=labels[lo:hi])
+    return labels
+
+
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per point (lowest index on ties) and squared distances."""
-    # ||p - c||^2 expanded; exact distances recomputed for the winners.
-    d2 = (np.square(points).sum(axis=1)[:, None]
-          + np.square(centroids).sum(axis=1)[None, :]
-          - 2.0 * points @ centroids.T)
-    np.maximum(d2, 0.0, out=d2)
-    labels = np.argmin(d2, axis=1)
+    """Nearest centroid per point and its exact squared distance."""
+    labels = _nearest(points, centroids)
     best = np.square(points - centroids[labels]).sum(axis=1)
     return labels, best
 
@@ -56,12 +82,15 @@ def kmeans_restarts(points: np.ndarray, n_clusters: int, restarts: int,
 
     Initial centroids are drawn uniformly without replacement from the
     distinct points; everything is deterministic given the seed.
+    Low-diversity streams (e.g. held postures) can have fewer distinct
+    points than `n_clusters`; the codebook then has one centroid per
+    distinct point.
     """
     points = np.asarray(points, dtype=np.float64)
     unique, counts = np.unique(points, axis=0, return_counts=True)
-    if unique.shape[0] < n_clusters:
-        raise TooFewPoints(
-            f"{unique.shape[0]} distinct points < {n_clusters} clusters")
+    if unique.shape[0] == 0:
+        raise TooFewPoints("no points to cluster")
+    n_clusters = min(n_clusters, unique.shape[0])
     best: tuple[np.ndarray, float] | None = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
@@ -77,10 +106,14 @@ def _lloyd(unique, counts, n_clusters, rng):
 
     Weighted updates give the same centroids and inertia as iterating over
     the duplicated points while doing far less work on repetitive data.
+    A stable sort by label puts each cluster's points in one contiguous
+    slice, in their original order, so each centroid is one axis-0 sum
+    that adds the same rows in the same order as a masked selection would.
     """
     init = rng.choice(unique.shape[0], size=n_clusters, replace=False)
     centroids = unique[init].copy()
     weights = counts.astype(np.float64)
+    weighted = unique * weights[:, None]
     labels = np.full(unique.shape[0], -1)
     prev_inertia = np.inf
     for _ in range(MAX_KMEANS_ITERS):
@@ -93,11 +126,15 @@ def _lloyd(unique, counts, n_clusters, rng):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
+        grouped = weighted[np.argsort(labels, kind="stable")]
+        sizes = np.bincount(labels, minlength=n_clusters)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        # Integer weights, so these totals are exact in any order.
+        totals = np.bincount(labels, weights=weights, minlength=n_clusters)
         for k in range(n_clusters):
-            mask = labels == k
-            if mask.any():
-                w = weights[mask]
-                centroids[k] = (unique[mask] * w[:, None]).sum(axis=0) / w.sum()
+            if sizes[k]:
+                centroids[k] = (grouped[bounds[k]:bounds[k + 1]].sum(axis=0)
+                                / totals[k])
             else:
                 far = int(np.argmax(d2))
                 centroids[k] = unique[far]
@@ -113,8 +150,7 @@ def quantize_batch(descriptors: np.ndarray, codebook: Codebook) -> np.ndarray:
     if descriptors.shape[1:] != codebook.centroids.shape[1:]:
         raise DimensionMismatch(f"descriptors {descriptors.shape} vs "
                                 f"centroids {codebook.centroids.shape}")
-    labels, _ = _assign(descriptors, codebook.centroids)
-    return labels
+    return _nearest(descriptors, codebook.centroids)
 
 
 def window_feature(blocks: dict[str, DescriptorBlock],
@@ -126,7 +162,8 @@ def window_feature(blocks: dict[str, DescriptorBlock],
 
     A descriptor belongs to a window when its start frame lies in
     [w0, w0 + window_len).  Windows with no descriptors of a kind get an
-    all-zero block.
+    all-zero block.  Only the start frames some window covers are
+    quantized, each with all of the kind's streams.
     """
     window_starts = np.asarray(window_starts)
     K = len(window_starts)
@@ -140,13 +177,22 @@ def window_feature(blocks: dict[str, DescriptorBlock],
         blk = blocks.get(kind)
         if blk is not None and blk.values.size:
             n_starts, n_streams, T = blk.values.shape
-            flat = blk.values.reshape(-1, T)
-            labels = quantize_batch(flat, cb).reshape(n_starts, n_streams)
-            for w, w0 in enumerate(window_starts):
-                hist[w] = np.bincount(labels[w0:w0 + window_len].ravel(),
-                                      minlength=N)
-            sums = hist.sum(axis=1, keepdims=True)
-            np.divide(hist, sums, out=hist, where=sums > 0)
+            lo = np.minimum(window_starts, n_starts)
+            hi = np.minimum(window_starts + window_len, n_starts)
+            depth = np.cumsum(np.bincount(lo, minlength=n_starts + 1)
+                              - np.bincount(hi, minlength=n_starts + 1))
+            covered = np.flatnonzero(depth[:n_starts])
+            if covered.size:
+                labels = quantize_batch(blk.values[covered].reshape(-1, T), cb)
+                # Label counts per start frame, then per window as a
+                # difference of cumulative sums: integers, so exact.
+                counts = np.bincount(labels + N * np.repeat(covered, n_streams),
+                                     minlength=n_starts * N)
+                cum = np.zeros((n_starts + 1, N), dtype=counts.dtype)
+                np.cumsum(counts.reshape(n_starts, N), axis=0, out=cum[1:])
+                hist[:] = cum[hi] - cum[lo]
+                sums = hist.sum(axis=1, keepdims=True)
+                np.divide(hist, sums, out=hist, where=sums > 0)
         feats.append(hist)
     return np.concatenate(feats, axis=1)
 

@@ -46,6 +46,10 @@ class DuplicateClipId(PoselangError):
     pass
 
 
+class MissingWindowLabels(PoselangError):
+    pass
+
+
 @dataclass
 class ParsedPose:
     """Raw per-frame parse result: arrays ready to stack into a sequence."""
@@ -259,6 +263,18 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
     if not entries:
         raise EmptyManifest(f"{path} holds no entries")
     return DatasetManifest(entries=entries, root=path.parent)
+
+
+def window_labels_of(entry: ManifestEntry, by_clip
+                     ) -> BodyLanguageSequence:
+    """`by_clip[entry.clip_id]`, for a command that needs the window labels
+    of every clip of a split; a manifest line without a window-labels file
+    stops it."""
+    if entry.clip_id not in by_clip:
+        raise MissingWindowLabels(
+            f"{entry.where}: clip {entry.clip_id!r} has no window-labels "
+            f"file; this command needs one for every clip of its split")
+    return by_clip[entry.clip_id]
 
 
 def load_window_labels(path, label_sets: dict[str, LabelSet],

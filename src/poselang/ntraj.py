@@ -84,17 +84,17 @@ def raw_streams(seq: PoseSequence, subset: JointSubset,
         "pair_orient", None, vals,
         [(joints[i], joints[j]) for i, j in pairs])
 
-    scopes: list[tuple[int, ...]] = []
-    cols = []
-    for a, b, c in combinations(range(J), 3):
-        for vertex, arms in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-            u = pos[:, arms[0], :] - pos[:, vertex, :]
-            w = pos[:, arms[1], :] - pos[:, vertex, :]
-            cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-            dot = (u * w).sum(axis=1)
-            cols.append(np.arctan2(np.abs(cross), dot))
-            scopes.append((joints[vertex], joints[arms[0]], joints[arms[1]]))
-    vals = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
+    # Each triple's angle at each of its corners, in triple order: the
+    # vertex with its two arms in index order.
+    corners = [corner for a, b, c in combinations(range(J), 3)
+               for corner in ((a, b, c), (b, a, c), (c, a, b))]
+    v, a0, a1 = np.array(corners, dtype=int).reshape(-1, 3).T
+    u = pos[:, a0, :] - pos[:, v, :]
+    w = pos[:, a1, :] - pos[:, v, :]
+    cross = u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+    dot = (u * w).sum(axis=-1)
+    vals = np.arctan2(np.abs(cross), dot)
+    scopes = [(joints[v], joints[a0], joints[a1]) for v, a0, a1 in corners]
     blocks["inner_angle"] = StreamBlock("inner_angle", None, vals, scopes)
 
     return blocks

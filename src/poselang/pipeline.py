@@ -122,12 +122,9 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
             rng = np.random.default_rng(
                 (config.seed, zlib.crc32(kind.encode("ascii")), 3))
             points = points[rng.choice(points.shape[0], size=cap, replace=False)]
-        # Low-diversity streams (e.g. held postures) can have fewer distinct
-        # descriptors than the nominal codebook size; clamp rather than fail.
-        n_distinct = np.unique(points, axis=0).shape[0]
         books[kind] = cb.kmeans_restarts(
-            points, min(config.codebook_size, n_distinct),
-            config.codebook_restarts, seed=config.seed, stream_kind=kind)
+            points, config.codebook_size, config.codebook_restarts,
+            seed=config.seed, stream_kind=kind)
     return books
 
 
@@ -166,17 +163,25 @@ def train_encoders(ds: Dataset, spec: neural.TrainSpec,
 def build_stores(ds: Dataset, rows, feature_kind: str,
                  models) -> dict[str, bodylang.ExemplarStore]:
     """Per-track stores from exemplar-manifest rows; each clip they name is
-    featurized once, with the `models` of the tracks its rows name."""
+    featurized once, at the windows its rows name, with the `models` of
+    the tracks its rows name."""
+    stride = ds.config.window_stride
     clip_models: dict[str, dict] = {}
-    for track, clip_id, _, _ in rows:
+    clip_windows: dict[str, set[int]] = {}
+    for track, clip_id, start, _ in rows:
         clip_models.setdefault(clip_id, {})[track] = models[track]
-    feats = {clip_id: bodylang.clip_features(ds.sequences[clip_id],
-                                             feature_kind, ds.config, m)
-             for clip_id, m in clip_models.items()}
+        clip_windows.setdefault(clip_id, set()).add(start // stride)
+    feats = {}
+    for clip_id, m in clip_models.items():
+        windows = sorted(clip_windows[clip_id])
+        clip_feats = bodylang.clip_features(ds.sequences[clip_id], feature_kind,
+                                            ds.config, m, windows=windows)
+        feats[clip_id] = {track: dict(zip(windows, f))
+                          for track, f in clip_feats.items()}
     stores = {}
     for track in TRACKS:
         lset = ds.label_sets[track]
-        picked = [(clip_id, start // ds.config.window_stride, cls)
+        picked = [(clip_id, start // stride, cls)
                   for t, clip_id, start, cls in rows if t == track]
         stores[track] = bodylang.ExemplarStore(
             track=track, feature_kind=feature_kind,
@@ -270,8 +275,8 @@ def symptom_label(entry: ingest.ManifestEntry) -> int:
 def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int, seqs):
     """(histogram sequence, emotion nhot, symptom) triples for one split,
     from `seqs`: `ds.gt` or stage-1 predictions, keyed by clip id."""
-    return [(emotion.histogram_sequence(seqs[e.clip_id], ds.label_sets,
-                                        hist_len, stride),
+    return [(emotion.histogram_sequence(ingest.window_labels_of(e, seqs),
+                                        ds.label_sets, hist_len, stride),
              emotion_nhot(e), symptom_label(e))
             for e in ds.manifest.split(split)]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core
+from . import core, ingest
 from .bodylang import window_starts
 from .core import BodyLanguageSequence, LabelSet, PipelineConfig, PoseSequence
 
@@ -459,7 +459,8 @@ def pick_exemplars(manifest, gt_by_clip: dict[str, BodyLanguageSequence],
     """
     rng = np.random.default_rng((seed, 101))
     rows: list[tuple[str, str, int, str]] = []
-    train = [gt_by_clip[e.clip_id] for e in manifest.split("train")]
+    train = [ingest.window_labels_of(e, gt_by_clip)
+             for e in manifest.split("train")]
     for track in ("upper", "lower"):
         for cls, name in enumerate(label_sets[track].names):
             per_clip: list[list[tuple[str, int]]] = []

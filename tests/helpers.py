@@ -1,9 +1,12 @@
 """Helpers shared by the test modules: random poses, label-sequence
-datasets that bypass the pose pipeline, and numeric reference checks."""
+datasets that bypass the pose pipeline, numeric reference checks, and the
+loop versions of vectorized stage-1 code."""
+
+from itertools import combinations
 
 import numpy as np
 
-from poselang import core, neural, synth
+from poselang import bodylang, codebook, core, neural, synth
 
 
 def make_sequence(rng, n_frames=24, jitter=5.0, frame_rate=24.0,
@@ -118,3 +121,101 @@ def gradient_check(net, x, y, h: float = 1e-5) -> float:
             denom = max(abs(numeric) + abs(gflat[i]), 1e-8)
             worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Stage-1 loops as they were before vectorizing: oracles that the
+# vectorized code must match bit for bit.
+
+def assign_unblocked(points, centroids):
+    """Nearest centroid per point and its squared distance, from one
+    full-size distance matrix."""
+    d2 = (np.square(points).sum(axis=1)[:, None]
+          + np.square(centroids).sum(axis=1)[None, :]
+          - 2.0 * points @ centroids.T)
+    np.maximum(d2, 0.0, out=d2)
+    labels = np.argmin(d2, axis=1)
+    best = np.square(points - centroids[labels]).sum(axis=1)
+    return labels, best
+
+
+def lloyd_masked(unique, counts, n_clusters, rng):
+    """One weighted Lloyd run with a masked sum per cluster: (centroids,
+    inertia, number of empty-cluster reseeds)."""
+    init = rng.choice(unique.shape[0], size=n_clusters, replace=False)
+    centroids = unique[init].copy()
+    weights = counts.astype(np.float64)
+    labels = np.full(unique.shape[0], -1)
+    reseeds = 0
+    for _ in range(codebook.MAX_KMEANS_ITERS):
+        new_labels, d2 = assign_unblocked(unique, centroids)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(n_clusters):
+            mask = labels == k
+            if mask.any():
+                w = weights[mask]
+                centroids[k] = (unique[mask] * w[:, None]).sum(axis=0) / w.sum()
+            else:
+                far = int(np.argmax(d2))
+                centroids[k] = unique[far]
+                d2[far] = 0.0
+                reseeds += 1
+    _, d2 = assign_unblocked(unique, centroids)
+    return centroids, float(d2 @ weights), reseeds
+
+
+def window_feature_per_window(blocks, codebooks, window_starts, window_len,
+                              kind_order):
+    """Window histograms from every start frame's labels, one `bincount`
+    per window."""
+    feats = []
+    for kind in kind_order:
+        cb = codebooks[kind]
+        hist = np.zeros((len(window_starts), cb.size))
+        blk = blocks.get(kind)
+        if blk is not None and blk.values.size:
+            n_starts, n_streams, T = blk.values.shape
+            labels, _ = assign_unblocked(blk.values.reshape(-1, T),
+                                         cb.centroids)
+            labels = labels.reshape(n_starts, n_streams)
+            for w, w0 in enumerate(window_starts):
+                hist[w] = np.bincount(labels[w0:w0 + window_len].ravel(),
+                                      minlength=cb.size)
+            sums = hist.sum(axis=1, keepdims=True)
+            np.divide(hist, sums, out=hist, where=sums > 0)
+        feats.append(hist)
+    return np.concatenate(feats, axis=1)
+
+
+def inner_angles_loop(seq, subset):
+    """(values, scopes) of the inner-angle streams, one column per triple
+    corner."""
+    joints = subset.indices
+    pos = seq.xy[:, joints]
+    scopes, cols = [], []
+    for a, b, c in combinations(range(len(joints)), 3):
+        for vertex, arms in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            u = pos[:, arms[0], :] - pos[:, vertex, :]
+            w = pos[:, arms[1], :] - pos[:, vertex, :]
+            cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+            dot = (u * w).sum(axis=1)
+            cols.append(np.arctan2(np.abs(cross), dot))
+            scopes.append((joints[vertex], joints[arms[0]], joints[arms[1]]))
+    vals = np.stack(cols, axis=1) if cols else np.zeros((len(pos), 0))
+    return vals, scopes
+
+
+def predict_per_window(seq, stores, config, models):
+    """{track: (class ids, confidences)} from one `knn_classify` call per
+    window of the full-clip features."""
+    feats = bodylang.clip_features(seq, stores[core.TRACKS[0]].feature_kind,
+                                   config, models)
+    out = {}
+    for track in core.TRACKS:
+        votes = [bodylang.knn_classify(f, stores[track], config.knn_k)
+                 for f in feats[track]]
+        out[track] = (np.array([v[0] for v in votes], dtype=int),
+                      np.array([v[1] for v in votes]))
+    return out

@@ -163,9 +163,9 @@ def test_build_stores_maps_names_and_featurizes_each_clip_once(
     calls = []
     clip_features = bodylang.clip_features
 
-    def counting(seq, feature_kind, config, models):
+    def counting(seq, feature_kind, config, models, windows=None):
         calls.append((seq.source_id, tuple(models)))
-        return clip_features(seq, feature_kind, config, models)
+        return clip_features(seq, feature_kind, config, models, windows)
 
     monkeypatch.setattr(bodylang, "clip_features", counting)
     a, b = sorted(e.clip_id for e in tiny_ds.manifest.split("train"))[:2]

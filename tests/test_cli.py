@@ -368,6 +368,29 @@ def test_unknown_window_label_class(runner, small_workdir, tmp_path, args):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
 
 
+@pytest.mark.parametrize("args", [
+    ("exemplars", "build"),
+    ("symptom", "train", "--epochs", "1", "--source", "gt"),
+])
+def test_train_clip_without_window_labels(runner, small_workdir, tmp_path,
+                                          args):
+    """A training clip whose manifest line names no window-labels file
+    stops a command that reads its window labels, naming the line."""
+    shutil.copytree(small_workdir / "dataset", tmp_path / "dataset")
+    manifest = tmp_path / "dataset" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith("clip000,"))
+    line = lines[lineno - 1]
+    assert ",train," in line and line.endswith(",gt/clip000.csv")
+    lines[lineno - 1] = line.removesuffix(",gt/clip000.csv")
+    manifest.write_text("\n".join(lines) + "\n")
+    result = invoke(runner, tmp_path, *args, expect=3)
+    assert (f"manifest.csv line {lineno}: clip 'clip000' has no "
+            f"window-labels file" in result.output)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+
+
 class TestWindowCountMismatch:
     """A window_stride other than the dataset's gives each clip more
     windows than ground-truth rows; nothing truncates them silently."""

@@ -50,9 +50,13 @@ class TestKMeans:
         assert b.inertia == pytest.approx(3 * a.inertia, rel=1e-9)
 
     def test_too_few_distinct_points(self):
+        # Fewer distinct points than clusters: one centroid each.
         pts = np.tile([[1.0, 2.0], [3.0, 4.0]], (10, 1))
+        book = cb.kmeans_restarts(pts, 3, restarts=2, seed=0)
+        assert np.array_equal(book.centroids, [[1.0, 2.0], [3.0, 4.0]])
+        assert book.inertia == 0.0
         with pytest.raises(cb.TooFewPoints):
-            cb.kmeans_restarts(pts, 3, restarts=2, seed=0)
+            cb.kmeans_restarts(np.zeros((0, 2)), 3, restarts=2, seed=0)
 
     def test_rising_inertia_is_an_internal_error(self, monkeypatch):
         # Lloyd's inertia never rises; inflate each distance pass to force it.
