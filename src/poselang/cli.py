@@ -105,11 +105,9 @@ def synth_gen(ctx, out_dir, scenario, clips_per_split, clip_len, noise_std,
                   dropout_rate=dropout, seed=config.seed)
     if clip_len is not None:
         kwargs["clip_len"] = clip_len
-    stage2 = scenario == "stage2"
-    manifest = synth.generate_dataset(
-        synth.stage2_scenario(**kwargs) if stage2 else synth.ScenarioSpec(**kwargs),
-        out_dir or workdir / "dataset", config,
-        motion_bias_fn=synth.spread_motion_bias if stage2 else None)
+    make = synth.stage2_scenario if scenario == "stage2" else synth.ScenarioSpec
+    manifest = synth.generate_dataset(make(**kwargs),
+                                      out_dir or workdir / "dataset", config)
     click.echo(f"wrote {3 * clips_per_split} clips, manifest {manifest}")
 
 
@@ -157,14 +155,17 @@ def encoder_group():
 
 
 @encoder_group.command("train")
-@click.option("--epochs", type=int, default=90, show_default=True)
-@click.option("--lr", type=float, default=0.05, show_default=True)
+@click.option("--epochs", type=int, default=pipeline.ENCODER_SPEC.epochs,
+              show_default=True)
+@click.option("--lr", type=float,
+              default=pipeline.ENCODER_SPEC.learning_rate, show_default=True)
 @click.pass_context
 @handle_errors
 def encoder_train(ctx, epochs, lr):
     """Train one encoder per track on frame-labeled training windows."""
     workdir, config, ds = _setup(ctx)
-    spec = neural.TrainSpec(learning_rate=lr, epochs=epochs, seed=config.seed)
+    spec = dataclasses.replace(pipeline.ENCODER_SPEC, learning_rate=lr,
+                               epochs=epochs, seed=config.seed)
     for track, enc in pipeline.train_encoders(ds, spec).items():
         path = artifacts.save_net(artifacts.encoder_path(workdir, track),
                                   enc, config)
@@ -225,13 +226,13 @@ def bodylang_predict(ctx, feature_kind, split):
 
 
 # ---------------------------------------------------------------------------
-def _stage2_data(ctx, hist_len, stride, source, feature_kind, splits):
+def _stage2_data(ctx, hist_len, stride, source, feature_kind, splits, task):
     workdir, config, ds = _setup(ctx)
     hist_len = 10 ** 9 if hist_len == 0 else hist_len  # L=K: whole track
     seqs = artifacts.load_stage2_sequences(workdir, source, feature_kind, ds,
                                            splits)
     return workdir, config, ds, pipeline.stage2_splits(ds, hist_len, stride,
-                                                       seqs, splits)
+                                                       seqs, task, splits)
 
 
 _stage2_options = [
@@ -244,34 +245,30 @@ _stage2_options = [
                  type=click.Choice(["ntraj+", "stconv"]), default="ntraj+"),
     click.Option(["--net", "net_kind"], type=click.Choice(["recurrent", "conv1d"]),
                  default="recurrent", show_default=True),
-    click.Option(["--epochs"], type=int, default=400, show_default=True),
-    click.Option(["--lr"], type=float, default=0.5, show_default=True),
+    click.Option(["--epochs"], type=int, default=emomod.STAGE2_SPEC.epochs,
+                 show_default=True),
+    click.Option(["--lr"], type=float,
+                 default=emomod.STAGE2_SPEC.learning_rate, show_default=True),
 ]
 
 
 def _train_stage2(ctx, hist_len, stride, source, feature_kind, net_kind,
                   epochs, lr, task):
     workdir, config, ds, data = _stage2_data(ctx, hist_len, stride, source,
-                                             feature_kind, SPLITS)
-    spec = neural.TrainSpec(learning_rate=lr, epochs=epochs, batch_size=16,
-                            seed=config.seed)
+                                             feature_kind, SPLITS, task)
+    spec = dataclasses.replace(emomod.STAGE2_SPEC, learning_rate=lr,
+                               epochs=epochs, seed=config.seed)
     net, _ = emomod.train_stage2(data["train"], data["val"], ds.label_sets,
-                                 spec, task, net_kind, patience=50)
+                                 spec, task, net_kind)
     tag = f"{task}_{net_kind}_{source}_L{hist_len}_S{stride}"
     path = artifacts.save_net(artifacts.model_path(workdir, tag), net, config)
     click.echo(f"{task} model -> {path}")
-    test = data["test"]
-    if task == "emotion":
-        scores = pipeline.evaluate_stage2_emotion(net, test)
-        click.echo(metrics.scores_table({tag: scores}), nl=False)
-    else:
-        acc = pipeline.evaluate_stage2_symptom(net, test)
-        click.echo(f"{tag} test accuracy: {acc:.3f}")
+    click.echo(pipeline.stage2_report(tag, net, data["test"], task), nl=False)
 
 
 def _predict_stage2(ctx, hist_len, stride, source, feature_kind, net_kind, task):
     workdir, config, ds, data = _stage2_data(ctx, hist_len, stride, source,
-                                             feature_kind, ("test",))
+                                             feature_kind, ("test",), task)
     tag = f"{task}_{net_kind}_{source}_L{hist_len}_S{stride}"
     net = artifacts.load_net(artifacts.model_path(workdir, tag), config,
                              (neural.RecurrentNet, neural.Conv1DNet),
@@ -282,7 +279,7 @@ def _predict_stage2(ctx, hist_len, stride, source, feature_kind, net_kind, task)
     click.echo(f"predictions -> {path}")
 
 
-for task in ("emotion", "symptom"):
+for task in emomod.TASKS:
     commands = [
         click.Command(name, params=options, help=what.format(task),
                       callback=click.pass_context(

@@ -3,13 +3,36 @@ multi-label emotion prediction, and binary symptom prediction."""
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import metrics, neural
 from .bodylang import BodyLanguageSequence
-from .core import LabelSet, PoselangError, ValidationError
+from .core import EMOTION_NAMES, LabelSet, PoselangError, ValidationError
 
-N_EMOTIONS = 25  # 24 labeled emotions plus background
+N_EMOTIONS = len(EMOTION_NAMES)  # 24 labeled emotions plus background
+
+HIDDEN = 64     # LSTM units or Conv1D channels of either head
+PATIENCE = 50   # epochs without a better validation score before stopping
+STAGE2_SPEC = neural.TrainSpec(learning_rate=0.5, epochs=400, batch_size=16)
+
+
+class Task(NamedTuple):
+    """One stage-2 head: the names whose presence it predicts (one sigmoid
+    output each), its seed offset from `spec.seed`, and its validation
+    score over (n, n_out) 0/1 prediction and target arrays."""
+
+    names: tuple[str, ...]
+    seed_offset: int
+    score: Callable[[np.ndarray, np.ndarray], float]
+
+
+TASKS = {
+    "emotion": Task(EMOTION_NAMES, 0, lambda pred, truth:
+                    metrics.multilabel_scores(pred, truth).f1),
+    "symptom": Task(("ME",), 1, metrics.binary_f1),
+}
 
 
 def histogram_width(label_sets: dict[str, LabelSet]) -> int:
@@ -76,7 +99,8 @@ def predict_probabilities(net, inputs) -> np.ndarray:
     return probs
 
 
-def _head_probabilities(hists, net, n_out: int, task: str) -> np.ndarray:
+def _head_probabilities(hists, net, task: str) -> np.ndarray:
+    n_out = len(TASKS[task].names)
     if net.config["n_out"] != n_out:
         raise neural.ShapeMismatch(
             f"{task} head has {net.config['n_out']} outputs, not {n_out}")
@@ -86,32 +110,23 @@ def _head_probabilities(hists, net, n_out: int, task: str) -> np.ndarray:
 def predict_emotion(hists, net) -> np.ndarray:
     """(n, 25) per-class sigmoid probabilities, one row per histogram
     sequence; an emotion is present at probability >= 0.5."""
-    return _head_probabilities(hists, net, N_EMOTIONS, "emotion")
+    return _head_probabilities(hists, net, "emotion")
 
 
 def predict_symptom(hists, net) -> np.ndarray:
     """Probability of manic episode (vs major depressive disorder) for each
     histogram sequence."""
-    return _head_probabilities(hists, net, 1, "symptom")[:, 0]
+    return _head_probabilities(hists, net, "symptom")[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # Training
 
-def _emotion_f1(net, inputs, targets) -> float:
-    return metrics.multilabel_scores(predict_probabilities(net, inputs) >= 0.5,
-                                     targets).f1
-
-
-def _symptom_f1(net, inputs, targets) -> float:
-    return metrics.binary_f1(predict_probabilities(net, inputs)[:, 0] >= 0.5,
-                             targets)
-
-
 def train_sequence_net(net, train_inputs, train_targets, spec: neural.TrainSpec,
                        val_inputs, val_targets, patience: int, score_fn):
-    """`neural.epochs` with early stopping: after each epoch the net is
-    scored on the validation split, and training stops once the score has
+    """`neural.epochs` with early stopping: after each epoch the net's
+    thresholded validation predictions are scored with
+    `score_fn(pred, val_targets)`, and training stops once the score has
     not improved for more than `patience` epochs.  Returns (loss curve,
     best validation score); the net holds the best parameters.
     """
@@ -119,7 +134,8 @@ def train_sequence_net(net, train_inputs, train_targets, spec: neural.TrainSpec,
     best_score, best_params, stale = -np.inf, None, 0
     for loss in neural.epochs(net, train_inputs, train_targets, spec):
         curve.append(loss)
-        score = score_fn(net, val_inputs, val_targets)
+        score = score_fn(predict_probabilities(net, val_inputs) >= 0.5,
+                         val_targets)
         if score > best_score + 1e-12:
             best_score, stale = score, 0
             best_params = [p.copy() for p in net.params()]
@@ -132,36 +148,24 @@ def train_sequence_net(net, train_inputs, train_targets, spec: neural.TrainSpec,
     return curve, best_score
 
 
-def train_stage2(train_data, val_data, label_sets: dict[str, LabelSet],
-                 spec: neural.TrainSpec, task: str,
-                 net_kind: str = "recurrent", hidden: int = 64,
-                 patience: int = 10):
-    """Train the emotion or the symptom net on histogram sequences.
+def train_stage2(train, val, label_sets: dict[str, LabelSet],
+                 spec: neural.TrainSpec, task: str, net_kind: str = "recurrent"):
+    """Train the `TASKS[task]` head on (histogram sequence, targets) pairs.
 
-    `train_data`/`val_data` are lists of (histogram sequence, emotion nhot,
-    symptom label).  The emotion net is seeded with `spec.seed` and the
-    symptom net with `spec.seed + 1`, so each is the same whichever else is
-    trained.  Returns the net (holding its best-validation parameters) and
-    a history with its loss curve and best validation F1.
+    The head is seeded with `spec.seed` plus its task's offset, so each is
+    the same whichever else is trained.  Returns the net (holding its
+    best-validation parameters) and a history with its loss curve and best
+    validation F1.
     """
-    if task == "emotion":
-        n_out, seed, column, score_fn = N_EMOTIONS, spec.seed, 1, _emotion_f1
-    elif task == "symptom":
-        n_out, seed, column, score_fn = 1, spec.seed + 1, 2, _symptom_f1
-    else:
+    if task not in TASKS:
         raise PoselangError(f"unknown stage-2 task {task!r}")
-    width = histogram_width(label_sets)
-    if net_kind == "recurrent":
-        net = neural.RecurrentNet(input_dim=width, hidden=hidden,
-                                  n_out=n_out, seed=seed)
-    else:
-        net = neural.Conv1DNet(input_dim=width, channels=hidden,
-                               n_out=n_out, seed=seed)
-    tr_x = [net_inputs(d[0]) for d in train_data]
-    tr_y = np.array([d[column] for d in train_data],
-                    dtype=np.float64).reshape(-1, n_out)
-    va_x = [net_inputs(d[0]) for d in val_data]
-    va_y = [np.asarray(d[column], dtype=int) for d in val_data]
-    curve, val_f1 = train_sequence_net(net, tr_x, tr_y, spec, va_x, va_y,
-                                       patience, score_fn)
+    head = TASKS[task]
+    make = neural.RecurrentNet if net_kind == "recurrent" else neural.Conv1DNet
+    net = make(histogram_width(label_sets), HIDDEN, n_out=len(head.names),
+               seed=spec.seed + head.seed_offset)
+    curve, val_f1 = train_sequence_net(
+        net, [net_inputs(h) for h, _ in train],
+        np.array([y for _, y in train], dtype=np.float64), spec,
+        [net_inputs(h) for h, _ in val], np.array([y for _, y in val]),
+        PATIENCE, head.score)
     return net, {"loss": curve, "val_f1": val_f1}

@@ -22,10 +22,6 @@ class MalformedFile(PoselangError):
     pass
 
 
-class NoPerson(PoselangError):
-    pass
-
-
 class EmptySequence(PoselangError):
     pass
 
@@ -50,30 +46,17 @@ class MissingWindowLabels(PoselangError):
     pass
 
 
-@dataclass
-class ParsedPose:
-    """Raw per-frame parse result: arrays ready to stack into a sequence."""
-
-    xy: np.ndarray          # (18, 2)
-    confidence: np.ndarray  # (18,)
-    valid: np.ndarray       # (18,) bool
+class EmptySplit(PoselangError):
+    pass
 
 
-def invalid_pose() -> ParsedPose:
-    """All-invalid placeholder used for missing or person-less frames."""
-    return ParsedPose(
-        xy=np.zeros((N_JOINTS, 2)),
-        confidence=np.zeros(N_JOINTS),
-        valid=np.zeros(N_JOINTS, dtype=bool),
-    )
+def parse_keypoint_frame(data: bytes | str) -> np.ndarray | None:
+    """Parse one per-frame keypoint document (BODY-18 layout) into the
+    (18, 3) `x, y, confidence` rows of the person with the highest mean
+    confidence; None when the frame holds no person.
 
-
-def parse_keypoint_frame(data: bytes | str) -> ParsedPose:
-    """Parse one per-frame keypoint document (BODY-18 layout).
-
-    Picks the person with the highest mean confidence.  Joints below the
-    confidence floor or sitting at the (0,0) sentinel are marked invalid.
-    Every coordinate and confidence must be a finite number.
+    Every coordinate must be a finite number and every confidence a finite
+    number >= 0.
     """
     try:
         doc = json.loads(data)
@@ -84,11 +67,8 @@ def parse_keypoint_frame(data: bytes | str) -> ParsedPose:
     people = doc["people"]
     if not isinstance(people, list):
         raise MalformedFile("'people' is not a list")
-    if not people:
-        raise NoPerson("no person in frame")
 
-    best = None
-    best_mean = -1.0
+    poses = []
     for person in people:
         kps = person.get("pose_keypoints_2d") if isinstance(person, dict) else None
         if not isinstance(kps, list) or len(kps) != 3 * N_JOINTS:
@@ -99,20 +79,12 @@ def parse_keypoint_frame(data: bytes | str) -> ParsedPose:
         except (TypeError, ValueError):
             raise MalformedFile("pose_keypoints_2d holds a value that is not "
                                 "a number") from None
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1) | (arr[:, 2] < 0))
         if bad.size:
             raise MalformedFile(f"joint {bad[0]} of pose_keypoints_2d is not "
-                                "finite")
-        mean_conf = float(arr[:, 2].mean())
-        if mean_conf > best_mean:
-            best_mean = mean_conf
-            best = arr
-
-    xy = best[:, :2].copy()
-    conf = best[:, 2].copy()
-    at_origin = (xy[:, 0] == 0.0) & (xy[:, 1] == 0.0)
-    valid = (conf >= MIN_JOINT_CONFIDENCE) & ~at_origin
-    return ParsedPose(xy=xy, confidence=conf, valid=valid)
+                                "finite or has a negative confidence")
+        poses.append(arr)
+    return max(poses, key=lambda arr: arr[:, 2].mean(), default=None)
 
 
 def _frame_index(path: Path) -> int | None:
@@ -126,7 +98,9 @@ def load_sequence(path, frame_rate: float) -> PoseSequence:
     """Assemble a PoseSequence from a directory of per-frame keypoint files.
 
     Frame order follows the zero-padded index in each filename; index gaps
-    become all-invalid poses to be repaired downstream.
+    and person-less frames stay all zero, so every joint there is invalid
+    and is repaired downstream.  Joints below the confidence floor or at
+    the (0, 0) sentinel are invalid too.
     """
     path = Path(path)
     if path.is_dir():
@@ -147,31 +121,26 @@ def load_sequence(path, frame_rate: float) -> PoseSequence:
     if not indexed:
         raise EmptySequence(f"no keypoint files under {path}")
 
-    lo, hi = min(indexed), max(indexed)
-    frames: list[ParsedPose] = []
+    lo = min(indexed)
+    frames = np.zeros((max(indexed) - lo + 1, N_JOINTS, 3))
     parsed_any = False
-    for idx in range(lo, hi + 1):
-        f = indexed.get(idx)
-        if f is None:
-            frames.append(invalid_pose())
-            continue
+    for idx in sorted(indexed):
         try:
-            frames.append(parse_keypoint_frame(f.read_bytes()))
-            parsed_any = True
-        except NoPerson:
-            frames.append(invalid_pose())
+            pose = parse_keypoint_frame(indexed[idx].read_bytes())
         except MalformedFile as exc:
-            raise MalformedFile(f"{f}: {exc}") from None
+            raise MalformedFile(f"{indexed[idx]}: {exc}") from None
+        if pose is not None:
+            frames[idx - lo] = pose
+            parsed_any = True
     if not parsed_any:
         raise EmptySequence(f"no parseable frame under {path}")
 
+    xy, confidence = frames[..., :2].copy(), frames[..., 2].copy()
+    at_origin = (xy[..., 0] == 0.0) & (xy[..., 1] == 0.0)
     return PoseSequence(
-        xy=np.stack([f.xy for f in frames]),
-        confidence=np.stack([f.confidence for f in frames]),
-        valid=np.stack([f.valid for f in frames]),
-        frame_rate=frame_rate,
-        source_id=path.stem,
-    )
+        xy=xy, confidence=confidence,
+        valid=(confidence >= MIN_JOINT_CONFIDENCE) & ~at_origin,
+        frame_rate=frame_rate, source_id=path.stem)
 
 
 SPLITS = ("train", "val", "test")
@@ -191,12 +160,17 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
-    root: Path
+    path: Path
 
     def split(self, name: str) -> list[ManifestEntry]:
-        """The split's entries in clip-id order."""
-        return sorted((e for e in self.entries if e.split == name),
-                      key=lambda e: e.clip_id)
+        """The split's entries in clip-id order; a command that reads a
+        split with no line stops."""
+        entries = sorted((e for e in self.entries if e.split == name),
+                         key=lambda e: e.clip_id)
+        if not entries:
+            raise EmptySplit(f"{self.path}: no {name} lines; this command "
+                             f"needs at least one")
+        return entries
 
     def by_id(self, clip_id: str) -> ManifestEntry:
         for e in self.entries:
@@ -262,7 +236,7 @@ def load_manifest(path, label_sets=None) -> DatasetManifest:
             where=where))
     if not entries:
         raise EmptyManifest(f"{path} holds no entries")
-    return DatasetManifest(entries=entries, root=path.parent)
+    return DatasetManifest(entries=entries, path=path)
 
 
 def window_labels_of(entry: ManifestEntry, by_clip

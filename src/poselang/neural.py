@@ -427,7 +427,7 @@ def bce_with_logits(logits, targets):
 # ---------------------------------------------------------------------------
 # Training
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSpec:
     learning_rate: float = 0.05
     momentum: float = 0.9

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
-from .core import (ADMISSIBLE_CODEBOOK_SIZES, EMOTION_NAMES, TRACKS,
+from .core import (ADMISSIBLE_CODEBOOK_SIZES, TRACKS,
                    BodyLanguageSequence, LabelSet, PipelineConfig,
                    PoselangError, PoseSequence, load_label_sets)
 
@@ -43,7 +43,7 @@ class ClipSequences(Mapping):
     def __init__(self, manifest: ingest.DatasetManifest,
                  config: PipelineConfig):
         self._entries = {e.clip_id: e for e in manifest.entries}
-        self._root = manifest.root
+        self._root = manifest.path.parent
         self._config = config
         self.reports: dict[str, preprocess.RepairReport] = {}
         self._loaded: dict[str, PoseSequence] = {}
@@ -131,6 +131,9 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
 # ---------------------------------------------------------------------------
 # Encoder training on frame-labeled training windows
 
+ENCODER_SPEC = neural.TrainSpec(learning_rate=0.05, epochs=90)
+
+
 def train_encoders(ds: Dataset, spec: neural.TrainSpec,
                    clip_ids=None) -> dict[str, neural.ConvEncoder]:
     """One encoder per track, both trained on one render of the pose images
@@ -146,6 +149,10 @@ def train_encoders(ds: Dataset, spec: neural.TrainSpec,
         _check_window_count(clip_id, len(imgs), clip_gt.n_windows)
         images.append(imgs)
         gt.append(clip_gt)
+    if not images:
+        raise ingest.MissingWindowLabels(
+            f"{ds.manifest.path}: no training clip has window labels; "
+            f"encoder training needs them")
     images = np.concatenate(images)
     encoders = {}
     for track, labels in (("upper", np.concatenate([g.upper for g in gt])),
@@ -253,58 +260,54 @@ def video_multilabel(ds: Dataset, preds) -> dict[str, metrics.MultilabelScores]:
 # ---------------------------------------------------------------------------
 # Stage 2
 
-def _stage2_labels(entry: ingest.ManifestEntry, channel: str):
-    """The entry's `channel` names; stage 2 needs them stated."""
-    if channel not in entry.labels:
-        raise ingest.UnknownLabel(f"{entry.where}: no {channel} channel; "
-                                  f"stage 2 needs emotion and symptom labels")
-    return entry.labels[channel]
+def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int, seqs,
+                task: str):
+    """(histogram sequence, targets) pairs for one split, from `seqs`:
+    `ds.gt` or stage-1 predictions, keyed by clip id.  The targets flag
+    which of `TASKS[task].names` the manifest line states; every line
+    needs both stage-2 channels."""
+    names, data = emotion.TASKS[task].names, []
+    for e in ds.manifest.split(split):
+        hist = emotion.histogram_sequence(ingest.window_labels_of(e, seqs),
+                                          ds.label_sets, hist_len, stride)
+        for channel in emotion.TASKS:
+            if channel not in e.labels:
+                raise ingest.UnknownLabel(
+                    f"{e.where}: no {channel} channel; stage 2 needs "
+                    f"emotion and symptom labels")
+        data.append((hist, np.array([n in e.labels[task] for n in names])))
+    return data
 
 
-def emotion_nhot(entry: ingest.ManifestEntry) -> np.ndarray:
-    vec = np.zeros(emotion.N_EMOTIONS, dtype=int)
-    for name in _stage2_labels(entry, "emotion"):
-        vec[EMOTION_NAMES.index(name)] = 1
-    return vec
-
-
-def symptom_label(entry: ingest.ManifestEntry) -> int:
-    return int(_stage2_labels(entry, "symptom")[0] == "ME")
-
-
-def stage2_data(ds: Dataset, split: str, hist_len: int, stride: int, seqs):
-    """(histogram sequence, emotion nhot, symptom) triples for one split,
-    from `seqs`: `ds.gt` or stage-1 predictions, keyed by clip id."""
-    return [(emotion.histogram_sequence(ingest.window_labels_of(e, seqs),
-                                        ds.label_sets, hist_len, stride),
-             emotion_nhot(e), symptom_label(e))
-            for e in ds.manifest.split(split)]
-
-
-def stage2_splits(ds: Dataset, hist_len: int, stride: int, seqs,
+def stage2_splits(ds: Dataset, hist_len: int, stride: int, seqs, task: str,
                   splits=ingest.SPLITS):
     """`stage2_data` for each of `splits`."""
-    return {split: stage2_data(ds, split, hist_len, stride, seqs)
+    return {split: stage2_data(ds, split, hist_len, stride, seqs, task)
             for split in splits}
+
+
+def _probabilities(net, data, task: str) -> np.ndarray:
+    predict = emotion.predict_emotion if task == "emotion" \
+        else emotion.predict_symptom
+    return predict([hist for hist, _ in data], net)
 
 
 def predict_stage2(ds: Dataset, net, test_data, task: str):
     """(clip id, emotion probabilities or P(manic episode)) pairs."""
-    predict = emotion.predict_emotion if task == "emotion" \
-        else emotion.predict_symptom
     return list(zip((e.clip_id for e in ds.manifest.split("test")),
-                    predict([hist for hist, _, _ in test_data], net)))
+                    _probabilities(net, test_data, task)))
 
 
-def evaluate_stage2_emotion(net, data) -> metrics.MultilabelScores:
-    probs = emotion.predict_emotion([h for h, _, _ in data], net)
-    return metrics.multilabel_scores(probs >= 0.5, [e for _, e, _ in data])
-
-
-def evaluate_stage2_symptom(net, data) -> float:
-    probs = emotion.predict_symptom([h for h, _, _ in data], net)
-    truth = [s for _, _, s in data]
-    return metrics.binary_accuracy((probs >= 0.5).astype(int), truth)
+def stage2_report(tag: str, net, test, task: str) -> str:
+    """The test-split scores `train` prints: the emotion head's
+    multi-label table, or the symptom head's accuracy."""
+    pred = _probabilities(net, test, task) >= 0.5
+    truth = np.array([y for _, y in test])
+    if task == "emotion":
+        return metrics.scores_table({tag: metrics.multilabel_scores(pred,
+                                                                    truth)})
+    return f"{tag} test accuracy: " \
+           f"{metrics.binary_accuracy(pred, truth[:, 0]):.3f}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +333,13 @@ def sweep_histogram_window(ds: Dataset, seqs) -> list[str]:
             default=config.emo_hist_len)
     for L, S in ((1, 1), (config.emo_hist_len, config.emo_hist_stride),
                  (K, K)):
-        data = stage2_splits(ds, L, S, seqs)
-        spec = neural.TrainSpec(learning_rate=0.5, epochs=400,
-                                batch_size=16, seed=config.seed)
-        emo_net, _ = emotion.train_stage2(
-            data["train"], data["val"], ds.label_sets, spec, "emotion",
-            patience=50)
-        s = evaluate_stage2_emotion(emo_net, data["test"])
+        data = stage2_splits(ds, L, S, seqs, "emotion")
+        spec = dataclasses.replace(emotion.STAGE2_SPEC, seed=config.seed)
+        emo_net, _ = emotion.train_stage2(data["train"], data["val"],
+                                          ds.label_sets, spec, "emotion")
+        probs = emotion.predict_emotion([h for h, _ in data["test"]], emo_net)
+        s = metrics.multilabel_scores(probs >= 0.5,
+                                      [y for _, y in data["test"]])
         lines.append(f"{L},{S},{s.accuracy:.6f},{s.precision:.6f},"
                      f"{s.recall:.6f},{s.f1:.6f}")
     return lines
@@ -347,8 +350,7 @@ def sweep_data_fraction(ds: Dataset) -> list[str]:
     of the training clips."""
     lines = ["fraction,track,window_accuracy"]
     train_ids = [e.clip_id for e in ds.manifest.split("train")]
-    spec = neural.TrainSpec(learning_rate=0.05, epochs=90,
-                            seed=ds.config.seed)
+    spec = dataclasses.replace(ENCODER_SPEC, seed=ds.config.seed)
     accs = {}
     for frac in (1.0, 0.5, 0.2):
         ids = train_ids[:max(1, int(round(frac * len(train_ids))))]

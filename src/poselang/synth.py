@@ -8,6 +8,7 @@ and manifest formats the ingest module reads.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import core, ingest
 from .bodylang import window_starts
+from .emotion import N_EMOTIONS
 from .core import BodyLanguageSequence, LabelSet, PipelineConfig, PoseSequence
 
 BACKGROUND = "background"
@@ -186,6 +188,9 @@ class ScenarioSpec:
     noise_std: float = 0.0
     dropout_rate: float = 0.0
     background_prob: float = 0.25
+    # Clip index -> probability of drawing a high-motion class for a
+    # non-background segment; None draws every class alike.
+    motion_bias: Callable[[int], float] | None = None
     seed: int = 0
 
     def label_sets(self) -> dict[str, LabelSet]:
@@ -233,9 +238,10 @@ def spread_motion_bias(clip_index: int) -> float:
 def stage2_scenario(**overrides) -> ScenarioSpec:
     """Scenario tuned for the downstream tasks: many short segments per
     clip, so order-dependent emotion rules fire often and the high-motion
-    fraction takes fine-grained values around the symptom threshold."""
+    fraction takes fine-grained values around the symptom threshold, with
+    a high-motion bias spread over the clips."""
     base = dict(clip_len=90, segment_len_range=(9, 15), background_prob=0.15,
-                high_motion_threshold=0.5,
+                high_motion_threshold=0.5, motion_bias=spread_motion_bias,
                 emotion_rules=order_rich_emotion_rules())
     base.update(overrides)
     return ScenarioSpec(**base)
@@ -249,16 +255,17 @@ class ClipTruth:
 
 
 def emotions_from_windows(window_labels, rules) -> np.ndarray:
-    """Recompute the 25-long emotion vector from a window label sequence."""
+    """Recompute the emotion n-hot vector from a window label sequence;
+    with no rule firing, only background is set."""
     upper = [w[0] for w in window_labels]
     lower = [w[1] for w in window_labels]
-    vec = np.zeros(25, dtype=int)
+    vec = np.zeros(N_EMOTIONS, dtype=int)
     for rule in rules:
         seq = upper if rule.track == "upper" else lower
         if rule.applies(seq):
             vec[rule.emotion] = 1
     if vec.sum() == 0:
-        vec[24] = 1
+        vec[core.EMOTION_NAMES.index(BACKGROUND)] = 1
     return vec
 
 
@@ -323,8 +330,7 @@ def _majority(labels: np.ndarray) -> str:
     return min(tied, key=lambda t: firsts[t])
 
 
-def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig,
-                  motion_bias: float | None = None
+def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig
                   ) -> tuple[PoseSequence, ClipTruth]:
     """Build one raw clip plus aligned ground truth.
 
@@ -339,6 +345,7 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig,
     xy = np.tile(REST_POSE, (n, 1, 1))
     upper_by_name = {t.name: t for t in spec.upper_templates}
     lower_by_name = {t.name: t for t in spec.lower_templates}
+    motion_bias = spec.motion_bias(clip_index) if spec.motion_bias else None
     upper_segments = _pick_segments(spec, spec.upper_templates, rng, motion_bias)
     lower_segments = _pick_segments(spec, spec.lower_templates, rng, motion_bias)
     upper_frames = _apply_segments(xy, upper_segments, upper_by_name)
@@ -397,14 +404,9 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig,
 
 def _write_clip(seq: PoseSequence, clip_dir: Path) -> None:
     clip_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(seq.n_frames):
-        kps = []
-        for j in range(core.N_JOINTS):
-            if seq.valid[t, j]:
-                kps += [float(seq.xy[t, j, 0]), float(seq.xy[t, j, 1]),
-                        float(seq.confidence[t, j])]
-            else:
-                kps += [0.0, 0.0, 0.0]
+    rows = np.where(seq.valid[..., None],
+                    np.dstack([seq.xy, seq.confidence]), 0.0)
+    for t, kps in enumerate(rows.reshape(seq.n_frames, -1).tolist()):
         doc = {"people": [{"pose_keypoints_2d": kps}]}
         (clip_dir / f"frame_{t:06d}.json").write_text(json.dumps(doc))
 
@@ -416,8 +418,8 @@ def _labels_field(video: dict[str, tuple[str, ...]]) -> str:
     return ";".join(channels)
 
 
-def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig,
-                     motion_bias_fn=None) -> Path:
+def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig
+                     ) -> Path:
     """Write a full synthetic dataset: clips, window ground truth, label-set
     manifest, and dataset manifest with 3 equal splits."""
     out_dir = Path(out_dir)
@@ -434,8 +436,7 @@ def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig,
     n_total = 3 * spec.clips_per_split
     for idx in range(n_total):
         split = ("train", "val", "test")[idx // spec.clips_per_split]
-        bias = motion_bias_fn(idx) if motion_bias_fn else None
-        seq, truth = generate_clip(spec, idx, config, motion_bias=bias)
+        seq, truth = generate_clip(spec, idx, config)
         _write_clip(seq, out_dir / "clips" / truth.clip_id)
         gt_path = out_dir / "gt" / f"{truth.clip_id}.csv"
         gt_path.write_text("\n".join(

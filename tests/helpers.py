@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: random poses, label-sequence
 datasets that bypass the pose pipeline, numeric reference checks, and the
-loop versions of vectorized stage-1 code."""
+loop versions of vectorized code."""
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -219,3 +220,19 @@ def predict_per_window(seq, stores, config, models):
         out[track] = (np.array([v[0] for v in votes], dtype=int),
                       np.array([v[1] for v in votes]))
     return out
+
+
+def write_clip_per_joint(seq, clip_dir):
+    """`synth._write_clip` one joint at a time: valid joints as
+    `x, y, confidence`, invalid ones as zeros."""
+    clip_dir.mkdir(parents=True, exist_ok=True)
+    for t in range(seq.n_frames):
+        kps = []
+        for j in range(core.N_JOINTS):
+            if seq.valid[t, j]:
+                kps += [float(seq.xy[t, j, 0]), float(seq.xy[t, j, 1]),
+                        float(seq.confidence[t, j])]
+            else:
+                kps += [0.0, 0.0, 0.0]
+        doc = {"people": [{"pose_keypoints_2d": kps}]}
+        (clip_dir / f"frame_{t:06d}.json").write_text(json.dumps(doc))

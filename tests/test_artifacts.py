@@ -262,13 +262,28 @@ def test_bad_config_names_file_and_line(runner, tmp_path, text, line,
     ("emotion", "no emotion channel"),
     ("symptom", "no symptom channel"),
 ])
+@pytest.mark.parametrize("task", ["emotion", "symptom"])
 def test_unknown_stage2_label_names_the_line(runner, workdir, tmp_path,
-                                              channel, message):
+                                              channel, message, task):
     _edit_second_line(workdir, tmp_path, channel)
-    result = invoke(runner, tmp_path, "symptom", "train", "--epochs", "1")
+    result = invoke(runner, tmp_path, task, "train", "--epochs", "1")
     assert result.exit_code == 3, result.output
     assert f"manifest.csv line 2: {message}" in result.output
     assert not (tmp_path / "models").exists()
+
+
+def test_predict_on_an_empty_split(runner, workdir, tmp_path):
+    """`bodylang predict` on a split with no manifest line writes no
+    prediction file."""
+    wd = tmp_path / "wd"
+    shutil.copytree(workdir, wd)
+    manifest = wd / "dataset" / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(",val,", ",train,"))
+    (wd / "predictions" / "ntraj+" / "val.csv").unlink()
+    result = invoke(runner, wd, "bodylang", "predict", "--split", "val")
+    assert result.exit_code == 3, result.output
+    assert f"{manifest}: no val lines" in result.output
+    assert not (wd / "predictions" / "ntraj+" / "val.csv").exists()
 
 
 def _edit_second_line(workdir, tmp_path, *channels):

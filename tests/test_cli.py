@@ -391,6 +391,62 @@ def test_train_clip_without_window_labels(runner, small_workdir, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
 
 
+def _move_split(small_workdir, tmp_path, split, to):
+    """Copy the dataset with every `split` line moved to split `to`."""
+    shutil.copytree(small_workdir / "dataset", tmp_path / "dataset")
+    manifest = tmp_path / "dataset" / "manifest.csv"
+    text = manifest.read_text()
+    assert f",{split}," in text
+    manifest.write_text(text.replace(f",{split},", f",{to},"))
+    return manifest
+
+
+@pytest.mark.parametrize("args", [
+    ("codebook", "train"),
+    ("encoder", "train", "--epochs", "1"),
+    ("exemplars", "build"),
+    ("emotion", "train", "--epochs", "1"),
+    ("symptom", "train", "--epochs", "1"),
+    ("sweep", "--axis", "LS"),
+])
+def test_empty_training_split(runner, small_workdir, tmp_path, args):
+    """A command that trains on a split with no manifest line stops with
+    exit 3 naming the manifest and the split, before writing anything."""
+    manifest = _move_split(small_workdir, tmp_path, "train", "val")
+    result = invoke(runner, tmp_path, *args, expect=3)
+    assert f"{manifest}: no train lines" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+
+
+@pytest.mark.parametrize("split, args", [
+    ("val", ("emotion", "train", "--epochs", "1")),
+    ("val", ("symptom", "train", "--epochs", "1")),
+    ("test", ("emotion", "train", "--epochs", "1")),
+    ("test", ("symptom", "train", "--epochs", "1")),
+    ("test", ("symptom", "predict")),
+])
+def test_stage2_empty_validation_or_test_split(runner, small_workdir,
+                                               tmp_path, split, args):
+    manifest = _move_split(small_workdir, tmp_path, split, "train")
+    result = invoke(runner, tmp_path, *args, expect=3)
+    assert f"{manifest}: no {split} lines" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+
+
+def test_encoder_train_without_labeled_windows(runner, small_workdir,
+                                               tmp_path):
+    shutil.copytree(small_workdir / "dataset", tmp_path / "dataset")
+    manifest = tmp_path / "dataset" / "manifest.csv"
+    manifest.write_text("".join(
+        line.split(",gt/")[0] + "\n" if ",train," in line else line + "\n"
+        for line in manifest.read_text().splitlines()))
+    result = invoke(runner, tmp_path, "encoder", "train", "--epochs", "1",
+                    expect=3)
+    assert (f"{manifest}: no training clip has window labels"
+            in result.output)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+
+
 class TestWindowCountMismatch:
     """A window_stride other than the dataset's gives each clip more
     windows than ground-truth rows; nothing truncates them silently."""

@@ -115,23 +115,30 @@ class TestTraining:
             lower = rng.integers(0, 2, size=8)
             hist = emotion.histogram_sequence(
                 _pred(upper.tolist(), lower.tolist()), LSETS, 4, 2)
-            emo = np.zeros(emotion.N_EMOTIONS, dtype=int)
-            emo[0 if dominant else 1] = 1
-            data.append((hist, emo, dominant))
+            targets = {"emotion": np.zeros(emotion.N_EMOTIONS, dtype=bool),
+                       "symptom": np.array([bool(dominant)])}
+            targets["emotion"][0 if dominant else 1] = True
+            data.append((hist, targets))
         return data
+
+    @staticmethod
+    def _pairs(data, task):
+        return [(hist, targets[task]) for hist, targets in data]
 
     def test_train_stage2_learns_toy_task(self):
         rng = np.random.default_rng(0)
-        train, val = self._toy_data(rng, 32), self._toy_data(rng, 16)
+        train, val = (self._pairs(self._toy_data(rng, n), "symptom")
+                      for n in (32, 16))
         spec = neural.TrainSpec(learning_rate=0.5, epochs=60, batch_size=8,
                                 seed=0)
         sym_net, hist = emotion.train_stage2(train, val, LSETS, spec,
-                                             "symptom", patience=20)
+                                             "symptom")
         assert set(hist) == {"loss", "val_f1"}
         assert hist["val_f1"] > 0.9
-        test = self._toy_data(np.random.default_rng(1), 16)
-        probs = emotion.predict_symptom([h for h, _, _ in test], sym_net)
-        correct = sum(int(p >= 0.5) == s for p, (_, _, s) in zip(probs, test))
+        test = self._pairs(self._toy_data(np.random.default_rng(1), 16),
+                           "symptom")
+        probs = emotion.predict_symptom([h for h, _ in test], sym_net)
+        correct = sum((p >= 0.5) == y[0] for p, (_, y) in zip(probs, test))
         assert correct / len(test) > 0.85
 
     def test_trains_only_the_requested_head(self):
@@ -139,25 +146,40 @@ class TestTraining:
         train, val = self._toy_data(rng, 12), self._toy_data(rng, 6)
         spec = neural.TrainSpec(learning_rate=0.5, epochs=4, batch_size=8,
                                 seed=5)
-        emo, _ = emotion.train_stage2(train, val, LSETS, spec, "emotion")
-        sym, _ = emotion.train_stage2(train, val, LSETS, spec, "symptom")
+        emo, _ = emotion.train_stage2(self._pairs(train, "emotion"),
+                                      self._pairs(val, "emotion"), LSETS,
+                                      spec, "emotion")
+        sym, _ = emotion.train_stage2(self._pairs(train, "symptom"),
+                                      self._pairs(val, "symptom"), LSETS,
+                                      spec, "symptom")
         assert emo.seed == 5 and emo.config["n_out"] == emotion.N_EMOTIONS
         assert sym.seed == 6 and sym.config["n_out"] == 1
         with pytest.raises(core.PoselangError, match="unknown stage-2 task"):
-            emotion.train_stage2(train, val, LSETS, spec, "mood")
+            emotion.train_stage2(self._pairs(train, "symptom"),
+                                 self._pairs(val, "symptom"), LSETS, spec,
+                                 "mood")
+
+    @pytest.mark.parametrize("task", ["emotion", "symptom"])
+    def test_task_table_matches_the_heads(self, task):
+        head = emotion.TASKS[task]
+        n_out = emotion.N_EMOTIONS if task == "emotion" else 1
+        assert len(head.names) == n_out
+        pred = np.array([[1] * n_out, [0] * n_out])
+        assert head.score(pred, pred) == 1.0
 
     def test_early_stopping_restores_best(self):
         rng = np.random.default_rng(2)
-        train = self._toy_data(rng, 16)
-        val = self._toy_data(rng, 8)
-        inputs = [emotion.net_inputs(d[0]) for d in train]
-        targets = np.array([[d[2]] for d in train], dtype=float)
-        vx = [emotion.net_inputs(d[0]) for d in val]
-        vy = np.array([d[2] for d in val])
+        train = self._pairs(self._toy_data(rng, 16), "symptom")
+        val = self._pairs(self._toy_data(rng, 8), "symptom")
+        inputs = [emotion.net_inputs(h) for h, _ in train]
+        targets = np.array([y for _, y in train], dtype=float)
+        vx = [emotion.net_inputs(h) for h, _ in val]
+        vy = np.array([y for _, y in val])
         net = neural.RecurrentNet(input_dim=6, hidden=4, n_out=1, seed=0)
         seen = []
 
-        def score(n, xs, ys):
+        def score(pred, truth):
+            assert pred.shape == truth.shape == (8, 1)
             seen.append(1)
             # Force an early best followed by "worse" scores.
             return 1.0 if len(seen) == 1 else 0.0

@@ -21,34 +21,38 @@ def _keypoints(conf=0.9, x0=100.0):
     return pts
 
 
-# A coordinate or confidence that is not a finite number, and the error.
-BAD_VALUES = [("abc", "not a number"), ([1, 2], "not a number"),
-              (None, "joint 4 .* not finite"),
-              (float("nan"), "joint 4 .* not finite"),
-              (float("inf"), "joint 4 .* not finite")]
+# A value that is not a finite number (in a joint's y, slot 1) or a
+# negative confidence (slot 2), and the error.
+BAD_VALUES = [(1, "abc", "not a number"), (1, [1, 2], "not a number"),
+              (1, None, "joint 4 .* not finite"),
+              (1, float("nan"), "joint 4 .* not finite"),
+              (1, float("inf"), "joint 4 .* not finite"),
+              (2, -2.0, "joint 4 .* negative confidence")]
+
+
+def _with(pts, joint, slot, value):
+    pts = list(pts)
+    pts[3 * joint + slot] = value
+    return pts
 
 
 class TestParseFrame:
     def test_valid_frame(self):
         pose = ingest.parse_keypoint_frame(_doc(_keypoints()))
-        assert pose.xy.shape == (18, 2)
-        assert pose.valid.all()
-        assert pose.xy[3, 0] == 103.0
+        assert pose.shape == (18, 3)
+        assert pose[3].tolist() == [103.0, 203.0, 0.9]
 
     def test_picks_highest_mean_confidence_person(self):
         weak = _keypoints(conf=0.2, x0=0.5)
         strong = _keypoints(conf=0.8, x0=500.0)
         pose = ingest.parse_keypoint_frame(_doc(weak, [strong]))
-        assert pose.xy[0, 0] == 500.0
+        assert pose[0, 0] == 500.0
+        # On a tie the first person wins.
+        pose = ingest.parse_keypoint_frame(_doc(strong, [weak, strong]))
+        assert pose[0, 0] == 500.0
 
-    def test_low_confidence_and_origin_marked_invalid(self):
-        pts = _keypoints()
-        pts[0:3] = [0.0, 0.0, 0.9]     # joint 0 at the origin sentinel
-        pts[3 * 5 + 2] = 0.05          # joint 5 below the confidence floor
-        pose = ingest.parse_keypoint_frame(_doc(pts))
-        assert not pose.valid[0]
-        assert not pose.valid[5]
-        assert pose.valid[1]
+    def test_person_less_frame(self):
+        assert ingest.parse_keypoint_frame(json.dumps({"people": []})) is None
 
     def test_malformed(self):
         with pytest.raises(ingest.MalformedFile):
@@ -57,18 +61,21 @@ class TestParseFrame:
             ingest.parse_keypoint_frame(json.dumps({"nope": []}))
         with pytest.raises(ingest.MalformedFile):
             ingest.parse_keypoint_frame(_doc([1.0, 2.0, 0.5]))
-        with pytest.raises(ingest.NoPerson):
-            ingest.parse_keypoint_frame(json.dumps({"people": []}))
         with pytest.raises(ingest.MalformedFile):
             ingest.parse_keypoint_frame(json.dumps(
                 {"people": [{"pose_keypoints_2d": 5}]}))
 
-    @pytest.mark.parametrize("value,message", BAD_VALUES)
-    def test_bad_value(self, value, message):
-        pts = _keypoints()
-        pts[3 * 4 + 1] = value  # joint 4's y
+    @pytest.mark.parametrize("slot,value,message", BAD_VALUES)
+    def test_bad_value(self, slot, value, message):
         with pytest.raises(ingest.MalformedFile, match=message):
-            ingest.parse_keypoint_frame(_doc(pts))
+            ingest.parse_keypoint_frame(_doc(_with(_keypoints(), 4, slot,
+                                                   value)))
+
+    def test_every_person_negative(self):
+        pts = [v for _ in range(core.N_JOINTS) for v in (1.0, 2.0, -2.0)]
+        with pytest.raises(ingest.MalformedFile,
+                           match="joint 0 .* negative confidence"):
+            ingest.parse_keypoint_frame(_doc(pts, [pts]))
 
 
 class TestLoadSequence:
@@ -87,6 +94,18 @@ class TestLoadSequence:
         assert seq.frame_rate == 24.0
         assert seq.source_id == "clip"
 
+    def test_low_confidence_and_origin_marked_invalid(self, tmp_path):
+        d = tmp_path / "clip"
+        d.mkdir()
+        pts = _with(_keypoints(), 5, 2, 0.05)  # below the confidence floor
+        pts[0:2] = [0.0, 0.0]                  # joint 0 at the origin
+        self._write(d, 0, _doc(pts))
+        seq = ingest.load_sequence(d, 24.0)
+        assert not seq.valid[0, 0] and not seq.valid[0, 5]
+        assert seq.valid[0, 1:5].all() and seq.valid[0, 6:].all()
+        assert seq.confidence[0, 5] == 0.05
+        assert seq.xy[0, 3].tolist() == [103.0, 203.0]
+
     def test_person_less_frame_becomes_invalid(self, tmp_path):
         d = tmp_path / "clip"
         d.mkdir()
@@ -95,6 +114,10 @@ class TestLoadSequence:
         seq = ingest.load_sequence(d, 24.0)
         assert seq.n_frames == 2
         assert not seq.valid[1].any()
+        assert not seq.xy[1].any() and not seq.confidence[1].any()
+        (d / "frame_000000.json").write_text(json.dumps({"people": []}))
+        with pytest.raises(ingest.EmptySequence):
+            ingest.load_sequence(d, 24.0)
 
     def test_errors(self, tmp_path):
         with pytest.raises(ingest.EmptySequence):
@@ -112,7 +135,8 @@ class TestLoadSequence:
             ingest.load_sequence(d2, 24.0)
 
     @pytest.mark.parametrize("text", [
-        "{not json", *(_doc([v] + _keypoints()[1:]) for v, _ in BAD_VALUES)])
+        "{not json", *(_doc(_with(_keypoints(), 0, slot, v))
+                       for slot, v, _ in BAD_VALUES)])
     def test_malformed_frame_names_its_file(self, tmp_path, text):
         d = tmp_path / "clip"
         d.mkdir()
@@ -140,6 +164,9 @@ class TestManifest:
         assert e.window_labels_path == "gt/c000.csv"
         assert man.by_id("c001").window_labels_path is None
         assert [x.clip_id for x in man.split("test")] == ["c001"]
+        with pytest.raises(ingest.EmptySplit,
+                           match=f"{path}: no val lines"):
+            man.split("val")
         with pytest.raises(KeyError):
             man.by_id("zzz")
 

@@ -1,9 +1,11 @@
-"""Window ground truth as loaded by the dataset, and the window accuracy
-scored against it, each checked against the `gt/<clip>.csv` names."""
+"""Window ground truth as loaded by the dataset, the window accuracy
+scored against it, and the stage-2 targets, each checked against the
+names in the dataset files."""
 
 import numpy as np
+import pytest
 
-from poselang import core, pipeline
+from poselang import core, emotion, ingest, pipeline
 
 
 def _gt_names(root, entry):
@@ -47,3 +49,19 @@ def test_window_accuracy_matches_a_name_comparison(tiny_root, tiny_ds):
     want["overall"] = (correct["upper"] + correct["lower"]) / (2 * total)
     assert 0 < want["overall"] < 1
     assert pipeline.window_accuracy(tiny_ds, preds) == want
+
+
+@pytest.mark.parametrize("task", ["emotion", "symptom"])
+def test_stage2_targets_name_the_manifest_labels(tiny_ds, task):
+    names = emotion.TASKS[task].names
+    for split in ingest.SPLITS:
+        data = pipeline.stage2_data(tiny_ds, split, 7, 3, tiny_ds.gt, task)
+        entries = tiny_ds.manifest.split(split)
+        assert len(data) == len(entries)
+        for (hist, targets), entry in zip(data, entries):
+            assert targets.shape == (len(names),)
+            stated = [n for n, on in zip(names, targets) if on]
+            want = [n for n in names if n in entry.labels[task]]
+            assert stated == want
+            assert np.array_equal(hist, emotion.histogram_sequence(
+                tiny_ds.gt[entry.clip_id], tiny_ds.label_sets, 7, 3))

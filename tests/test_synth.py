@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import label_sequence_dataset, order_only_emotion_rules
+from helpers import (label_sequence_dataset, order_only_emotion_rules,
+                     write_clip_per_joint)
 from poselang import core, ingest, synth
 
 
@@ -159,7 +160,36 @@ def test_stage2_scenario_overrides():
     assert spec.clips_per_split == 7
     assert spec.clip_len == 90
     assert spec.high_motion_threshold == 0.5
+    assert spec.motion_bias is synth.spread_motion_bias
     assert all(r.kind in ("presence", "order") for r in spec.emotion_rules)
+    assert synth.ScenarioSpec().motion_bias is None
+
+
+def test_motion_bias_shifts_the_class_draws():
+    """The scenario's bias reaches every clip: all-moving vs all-still."""
+    def moving_share(bias):
+        spec = synth.stage2_scenario(motion_bias=lambda i: bias,
+                                     background_prob=0.0)
+        high = spec.high_motion_names()
+        labels = [w for i in range(4)
+                  for w in synth.generate_clip(spec, i, CONFIG)[1].window_labels]
+        return np.mean([up in high for up, _ in labels])
+
+    assert moving_share(1.0) > 0.9 and moving_share(0.0) < 0.1
+
+
+def test_clip_files_match_the_per_joint_writer(tmp_path):
+    spec = synth.ScenarioSpec(noise_std=1.5, dropout_rate=0.2, seed=4)
+    seq, _ = synth.generate_clip(spec, 3, CONFIG)
+    assert not seq.valid.all()
+    synth._write_clip(seq, tmp_path / "vectorized")
+    write_clip_per_joint(seq, tmp_path / "loop")
+    names = sorted(p.name for p in (tmp_path / "loop").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "vectorized").iterdir())
+    assert len(names) == seq.n_frames
+    for name in names:
+        assert ((tmp_path / "vectorized" / name).read_bytes()
+                == (tmp_path / "loop" / name).read_bytes())
 
 
 class TestPickExemplars:
