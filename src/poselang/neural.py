@@ -7,13 +7,20 @@ seed.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import artifacts
-from .core import PoselangError, ShapeMismatch
+from .core import InvariantViolated, PoselangError, ShapeMismatch
 
 
 class NonFiniteActivation(PoselangError):
@@ -22,6 +29,10 @@ class NonFiniteActivation(PoselangError):
 
 class DivergedLoss(PoselangError):
     pass
+
+
+class WorkerFailed(InvariantViolated):
+    """A training worker died, exited non-zero or sent no whole result."""
 
 
 def _rng(seed, tag: int) -> np.random.Generator:
@@ -148,7 +159,11 @@ class AvgPool2(_Stateless):
                 + x[:, 1::2, 0::2] + x[:, 1::2, 1::2]) / 4.0
 
     def backward(self, dout):
-        return np.repeat(np.repeat(dout, 2, axis=1), 2, axis=2) / 4.0
+        # Each input cell gets a quarter of its pooled cell's gradient.
+        B, h, w, C = dout.shape
+        dx = np.empty((B, h, 2, w, 2, C))
+        dx[...] = (dout / 4.0)[:, :, None, :, None, :]
+        return dx.reshape(B, 2 * h, 2 * w, C)
 
 
 class GlobalAvgPool(_Stateless):
@@ -436,6 +451,11 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PoselangError(f"{name} must be a finite number, "
+                                    f"got {value!r}")
         if self.learning_rate < 0:
             raise PoselangError("learning_rate must be >= 0")
         if self.epochs < 1:
@@ -498,6 +518,108 @@ def train(net, inputs, targets, spec: TrainSpec):
     return list(epochs(net, inputs, targets, spec))
 
 
+def flat_params(net) -> np.ndarray:
+    """The net's parameters, flattened in `params()` order."""
+    return np.concatenate([p.ravel() for p in net.params()])
+
+
+def _set_params(net, flat) -> None:
+    offset = 0
+    for p in net.params():
+        p[...] = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+
+
+# ---------------------------------------------------------------------------
+# Training in worker processes, one per net
+
+_WORKER = "from poselang import neural; neural._worker_main()"
+
+
+def _worker_main() -> None:
+    """Worker side of `train_in_workers`: read one pickled
+    (net, inputs, targets, spec), train it, and write its flat parameters,
+    or the PoselangError that stopped training, to standard output."""
+    net, inputs, targets, spec = pickle.load(sys.stdin.buffer)
+    try:
+        train(net, inputs, targets, spec)
+        result = flat_params(net)
+    except PoselangError as exc:
+        result = exc
+    pickle.dump(result, sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _worker_result(name, proc, err) -> np.ndarray:
+    """The flat parameters a finished worker sent; its PoselangError
+    re-raised; or WorkerFailed naming the job and the exit status."""
+    out = proc.stdout.read()
+    status = proc.wait()
+    err.seek(0)
+    tail = err.read().decode("utf-8", "replace").strip().splitlines()
+    why = f": {tail[-1]}" if tail else ""
+    if status < 0:
+        raise WorkerFailed(f"training worker for {name!r} was killed by "
+                           f"signal {-status}{why}")
+    if status:
+        raise WorkerFailed(f"training worker for {name!r} exited with "
+                           f"status {status}{why}")
+    try:
+        result = pickle.loads(out)
+    except (pickle.UnpicklingError, EOFError):
+        raise WorkerFailed(f"training worker for {name!r} exited with "
+                           f"status 0 but sent {len(out)} bytes, not a "
+                           f"whole result{why}") from None
+    if tail:  # the worker's warnings
+        print("\n".join(tail), file=sys.stderr)
+    if isinstance(result, PoselangError):
+        raise result
+    return result
+
+
+def train_in_workers(jobs):
+    """Train each job's net in its own worker process, all at once, and
+    return {name: trained net} in `jobs` order.
+
+    `jobs` maps a name to `(net, inputs, targets, spec)`.  Each worker is
+    a fresh interpreter with a one-thread OpenBLAS that runs `train` and
+    sends back only the flat parameters, which land in the given net; the
+    bits are those in-process training gives.  A PoselangError raised in
+    a worker re-raises here with its class and message.  Every worker is
+    gone when this returns or raises.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    procs = {}
+    with contextlib.ExitStack() as stack:
+        try:
+            for name in jobs:
+                err = stack.enter_context(tempfile.TemporaryFile())
+                procs[name] = (subprocess.Popen(
+                    [sys.executable, "-c", _WORKER], env=env,
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=err), err)
+            # Every worker gets its job before any result is read, so
+            # all of them train at once.
+            for name, (proc, _) in procs.items():
+                # A worker that dies early closes the pipe; its exit
+                # status says why.
+                with contextlib.suppress(BrokenPipeError):
+                    pickle.dump(jobs[name], proc.stdin,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+                    proc.stdin.close()
+            for name, (proc, err) in procs.items():
+                _set_params(jobs[name][0], _worker_result(name, proc, err))
+            return {name: job[0] for name, job in jobs.items()}
+        finally:
+            for proc, _ in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
+                for pipe in (proc.stdin, proc.stdout):
+                    with contextlib.suppress(BrokenPipeError):
+                        pipe.close()
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: the header names the net's kind, constructor config and
 # seed; the payload holds its parameters, flattened in `params()` order.
@@ -513,7 +635,7 @@ def save_checkpoint(net, path, config_hash: str = "") -> None:
     artifacts.write(path, {
         "magic": CKPT_MAGIC, "kind": net.kind, "config": config,
         "seed": int(net.seed), "config_hash": config_hash,
-    }, np.concatenate([p.ravel() for p in net.params()]))
+    }, flat_params(net))
 
 
 def load_checkpoint(path, expect_config_hash: str | None = None):
@@ -531,8 +653,5 @@ def load_checkpoint(path, expect_config_hash: str | None = None):
         raise artifacts.CorruptArtifact(
             f"{path}: {flat.size} parameters, but a {cls.kind} net of this "
             f"config has {sum(p.size for p in params)}")
-    offset = 0
-    for p in params:
-        p[...] = flat[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    _set_params(net, flat)
     return net

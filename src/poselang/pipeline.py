@@ -137,7 +137,8 @@ ENCODER_SPEC = neural.TrainSpec(learning_rate=0.05, epochs=90)
 def train_encoders(ds: Dataset, spec: neural.TrainSpec,
                    clip_ids=None) -> dict[str, neural.ConvEncoder]:
     """One encoder per track, both trained on one render of the pose images
-    of every ground-truth-labeled training window."""
+    of every ground-truth-labeled training window, each in its own worker
+    process (`neural.train_in_workers`)."""
     ids = clip_ids if clip_ids is not None else [
         e.clip_id for e in ds.manifest.split("train")]
     images, gt = [], []
@@ -154,14 +155,13 @@ def train_encoders(ds: Dataset, spec: neural.TrainSpec,
             f"{ds.manifest.path}: no training clip has window labels; "
             f"encoder training needs them")
     images = np.concatenate(images)
-    encoders = {}
-    for track, labels in (("upper", np.concatenate([g.upper for g in gt])),
-                          ("lower", np.concatenate([g.lower for g in gt]))):
-        encoders[track] = neural.ConvEncoder(
-            in_hw=ds.config.pose_image_size, in_channels=2,
-            n_classes=len(ds.label_sets[track]), seed=spec.seed)
-        neural.train(encoders[track], images, labels, spec)
-    return encoders
+    return neural.train_in_workers({
+        track: (neural.ConvEncoder(in_hw=ds.config.pose_image_size,
+                                   in_channels=2,
+                                   n_classes=len(ds.label_sets[track]),
+                                   seed=spec.seed),
+                images, np.concatenate([getattr(g, track) for g in gt]), spec)
+        for track in TRACKS})
 
 
 # ---------------------------------------------------------------------------

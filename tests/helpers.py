@@ -236,3 +236,9 @@ def write_clip_per_joint(seq, clip_dir):
                 kps += [0.0, 0.0, 0.0]
         doc = {"people": [{"pose_keypoints_2d": kps}]}
         (clip_dir / f"frame_{t:06d}.json").write_text(json.dumps(doc))
+
+
+def avgpool_backward_repeat(dout):
+    """`neural.AvgPool2.backward` as it was: the pooled gradient repeated
+    along both spatial axes, then quartered."""
+    return np.repeat(np.repeat(dout, 2, axis=1), 2, axis=2) / 4.0

@@ -447,6 +447,31 @@ def test_encoder_train_without_labeled_windows(runner, small_workdir,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["encoder", "emotion"])
+def test_non_finite_learning_rate(runner, small_workdir, command, lr):
+    """A non-finite --lr is a bad argument (exit 3), not a net that
+    diverged."""
+    before = sorted(small_workdir.rglob("*"))
+    result = invoke(runner, small_workdir, command, "train", "--epochs", "1",
+                    "--lr", lr, expect=3)
+    assert (f"learning_rate must be a finite number, got {float(lr)!r}"
+            in result.output)
+    assert "Warning" not in result.output
+    assert sorted(small_workdir.rglob("*")) == before
+
+
+def test_encoder_divergence_crosses_the_worker_boundary(runner,
+                                                        small_workdir):
+    """A numeric failure in an encoder's worker ends the command with
+    exit 4 and writes no checkpoint."""
+    before = sorted(small_workdir.rglob("*"))
+    result = invoke(runner, small_workdir, "encoder", "train", "--epochs",
+                    "4", "--lr", "1e308", expect=4)
+    assert "error: ConvEncoder produced non-finite values" in result.output
+    assert sorted(small_workdir.rglob("*")) == before
+
+
 class TestWindowCountMismatch:
     """A window_stride other than the dataset's gives each clip more
     windows than ground-truth rows; nothing truncates them silently."""

@@ -1,9 +1,13 @@
-"""Layers, losses, training loop, gradient checks, and checkpoints."""
+"""Layers, losses, training loop, training workers, gradient checks, and
+checkpoints."""
+
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from helpers import gradient_check
+from helpers import avgpool_backward_repeat, gradient_check
 from poselang import neural
 
 
@@ -164,6 +168,17 @@ class TestBitExactRewrites:
         ref = x.reshape(B, H // 2, 2, W // 2, 2, C).mean(axis=(2, 4))
         assert np.array_equal(neural.AvgPool2().forward(x), ref)
 
+    @pytest.mark.parametrize("shape", [(4, 16, 16, 8), (3, 4, 4, 32),
+                                       (2, 1, 1, 1), (1, 3, 2, 3)])
+    def test_avgpool_backward_matches_repeat(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        dout = rng.normal(size=shape) * rng.choice([1e-300, 1.0, 1e300],
+                                                   size=shape)
+        got = neural.AvgPool2().backward(dout)
+        want = avgpool_backward_repeat(dout)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_encoder_backward_skips_only_the_input_gradient(self):
         rng = np.random.default_rng(5)
         net = neural.ConvEncoder(in_hw=(16, 16), channels=(4, 6, 8),
@@ -252,6 +267,14 @@ class TestTraining:
         with pytest.raises(neural.PoselangError):
             neural.TrainSpec(epochs=0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_spec_refuses_non_finite_rates(self, field, value):
+        with pytest.raises(neural.PoselangError,
+                           match=f"{field} must be a finite number, "
+                                 f"got {value!r}"):
+            neural.TrainSpec(**{field: value})
+
     def test_training_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 3, 4))
@@ -262,6 +285,87 @@ class TestTraining:
             spec = neural.TrainSpec(learning_rate=0.05, epochs=4, seed=5)
             curves.append(neural.train(net, x, y, spec))
         assert curves[0] == curves[1]
+
+
+class _ActsWhenUnpickled:
+    """Stands in for a net; unpickling it in a worker calls `fn(*args)`."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+def _encoder_job(seed=6):
+    """A 2-epoch encoder job on 45 samples in batches of 16, so the last
+    batch of each epoch is short."""
+    rng = np.random.default_rng(seed)
+    net = neural.ConvEncoder(in_hw=(8, 8), in_channels=2, channels=(3, 4),
+                             n_classes=3, seed=seed)
+    spec = neural.TrainSpec(learning_rate=0.05, epochs=2, batch_size=16,
+                            seed=seed)
+    return net, rng.normal(size=(45, 8, 8, 2)), rng.integers(0, 3, 45), spec
+
+
+class TestWorkers:
+    """`train_in_workers` trains each net in its own process; every test
+    also checks that no worker is left and the environment is unchanged."""
+
+    @staticmethod
+    def _environ():
+        env = dict(os.environ)
+        env.pop("PYTEST_CURRENT_TEST", None)  # pytest's own, per phase
+        return env
+
+    @pytest.fixture(autouse=True)
+    def nothing_left_behind(self):
+        env = self._environ()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self._environ() == env
+
+    def test_worker_matches_in_process(self):
+        seeds = {"a": 6, "b": 7}
+        want = {}
+        for name, seed in seeds.items():
+            net, x, y, spec = _encoder_job(seed=seed)
+            neural.train(net, x, y, spec)
+            want[name] = net
+        jobs = {name: _encoder_job(seed=seed) for name, seed in seeds.items()}
+        got = neural.train_in_workers(jobs)
+        assert list(got) == ["a", "b"]
+        for name, net in got.items():
+            assert net is jobs[name][0]
+            untrained = _encoder_job(seed=seeds[name])[0]
+            assert not np.array_equal(net.params()[0], untrained.params()[0])
+            for p, q in zip(net.params(), want[name].params(), strict=True):
+                assert np.array_equal(p, q)
+
+    def test_diverged_run_reraises(self):
+        net, x, _, spec = _encoder_job()
+        # The failing job comes first, so the other worker is still
+        # running when the error is raised.
+        jobs = {"bad": (net, x, np.full((len(x), 3), np.nan), spec),
+                "ok": _encoder_job()}
+        with pytest.raises(neural.DivergedLoss,
+                           match="^loss diverged at epoch 0$"):
+            neural.train_in_workers(jobs)
+
+    @pytest.mark.parametrize("poison, message", [
+        ((signal.raise_signal, signal.SIGKILL),
+         "training worker for 'bad' was killed by signal 9"),
+        ((os._exit, 5), "training worker for 'bad' exited with status 5"),
+        ((os._exit, 0), "training worker for 'bad' exited with status 0 "
+                        "but sent 0 bytes, not a whole result"),
+    ])
+    def test_dead_worker_is_a_typed_error(self, poison, message):
+        _, x, y, spec = _encoder_job()
+        jobs = {"bad": (_ActsWhenUnpickled(*poison), x, y, spec),
+                "ok": _encoder_job()}
+        with pytest.raises(neural.WorkerFailed, match=message):
+            neural.train_in_workers(jobs)
 
 
 class TestGradientChecks:
