@@ -205,10 +205,10 @@ def _write_csv(path: Path, config: PipelineConfig, rows) -> Path:
 
 def prediction_rows(pred: BodyLanguageSequence, label_sets):
     """CSV rows `clip_id,track,window_index,class,confidence`."""
-    for track, ids, confs in (("upper", pred.upper, pred.upper_conf),
-                              ("lower", pred.lower, pred.lower_conf)):
+    for track in TRACKS:
         names = label_sets[track].names
-        for w, (cid, conf) in enumerate(zip(ids, confs)):
+        for w, (cid, conf) in enumerate(zip(pred.ids[track],
+                                            pred.conf[track])):
             yield f"{pred.clip_id},{track},{w},{names[cid]},{conf:.6f}"
 
 
@@ -273,14 +273,15 @@ def load_predictions(workdir: Path, feature_kind: str, split: str, ds
                 f"{where}: confidence {conf!r} is not a finite number")
         ids.append(ds.label_sets[track].index(cls))
     preds = {}
-    for clip_id in rows:
-        (upper, upper_conf), (lower, lower_conf) = rows[clip_id].values()
-        if not upper or len(upper) != len(lower):
-            raise CorruptArtifact(f"{path}: clip {clip_id} has {len(upper)} "
-                                  f"upper and {len(lower)} lower rows")
+    for clip_id, by_track in rows.items():
+        counts = [len(by_track[track][0]) for track in TRACKS]
+        if not counts[0] or len(set(counts)) > 1:
+            have = " and ".join(f"{n} {t}" for n, t in zip(counts, TRACKS))
+            raise CorruptArtifact(f"{path}: clip {clip_id} has {have} rows")
         preds[clip_id] = BodyLanguageSequence(
-            clip_id=clip_id, upper=np.array(upper), lower=np.array(lower),
-            upper_conf=np.array(upper_conf), lower_conf=np.array(lower_conf))
+            clip_id=clip_id,
+            ids={track: np.array(ids) for track, (ids, _) in by_track.items()},
+            conf={track: np.array(c) for track, (_, c) in by_track.items()})
     return preds
 
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import codebook as cb
 from . import ntraj, poseimage
-from .core import (LOWER_SUBSET, TRACKS, UPPER_SUBSET, BodyLanguageSequence,
-                   LabelSet, PipelineConfig, PoselangError, data_lines)
+from .core import (SUBSETS, TRACKS, BodyLanguageSequence, LabelSet,
+                   PipelineConfig, PoselangError, data_lines)
 from .ingest import MalformedFile
 
 CHI2_EPS = 1e-10
@@ -34,10 +34,6 @@ def window_starts(n_frames: int, window_len: int, stride: int) -> np.ndarray:
             f"{n_frames} frames < window {window_len}")
     k = (n_frames - window_len) // stride + 1
     return np.arange(k) * stride
-
-
-def subset_for(track: str):
-    return UPPER_SUBSET if track == "upper" else LOWER_SUBSET
 
 
 def window_images(seq, config: PipelineConfig) -> np.ndarray:
@@ -68,7 +64,7 @@ def clip_features(seq, feature_kind: str, config: PipelineConfig,
             starts = starts[windows]
         order = ntraj.stream_kinds(config.gaps)
         return {track: cb.window_feature(
-                    ntraj.extract_descriptors(seq, subset_for(track),
+                    ntraj.extract_descriptors(seq, SUBSETS[track],
                                               config.traj_len, config.gaps),
                     books, starts, config.window_len, order)
                 for track, books in models.items()}
@@ -198,14 +194,14 @@ def classify_windows(features: np.ndarray, store: ExemplarStore,
 
 def predict_sequence(seq, stores: dict[str, ExemplarStore],
                      config: PipelineConfig, models) -> BodyLanguageSequence:
-    """Classify every sliding window on both tracks; `models` maps each
+    """Classify every sliding window on every track; `models` maps each
     track to the feature model of its store's kind (see `clip_features`)."""
     feats = clip_features(seq, stores[TRACKS[0]].feature_kind, config, models)
-    out = {}
+    pred = BodyLanguageSequence(clip_id=seq.source_id, ids={}, conf={})
     for track in TRACKS:
-        out[track], out[f"{track}_conf"] = classify_windows(
+        pred.ids[track], pred.conf[track] = classify_windows(
             feats[track], stores[track], config.knn_k)
-    return BodyLanguageSequence(clip_id=seq.source_id, **out)
+    return pred
 
 
 def video_nhot(pred: BodyLanguageSequence, label_sets: dict[str, LabelSet],
@@ -216,9 +212,9 @@ def video_nhot(pred: BodyLanguageSequence, label_sets: dict[str, LabelSet],
     windows, which suppresses single-window flicker.
     """
     out = {}
-    for track, ids in (("upper", pred.upper), ("lower", pred.lower)):
+    for track in TRACKS:
         lset = label_sets[track]
-        counts = np.bincount(ids, minlength=len(lset))
+        counts = np.bincount(pred.ids[track], minlength=len(lset))
         present = counts >= min_windows
         present = np.delete(present, lset.background_index)
         out[track] = present.astype(int)
@@ -245,7 +241,7 @@ def load_exemplar_manifest(path, sequences, config: PipelineConfig,
             raise MalformedFile(f"{where}: expected 4 columns set,clip_id,"
                                 f"window_start,class, got {len(parts)}")
         track, clip_id, start, cls = parts
-        if track not in ("upper", "lower"):
+        if track not in TRACKS:
             raise MalformedFile(f"{where}: bad exemplar set {track!r}")
         if cls not in label_sets[track].names:
             raise MalformedFile(f"{where}: unknown {track} class {cls!r}")
@@ -267,7 +263,7 @@ def load_exemplar_manifest(path, sequences, config: PipelineConfig,
                 f"{where}: window start {start} outside clip {clip_id}, "
                 f"whose windows start at 0..{starts[-1]}")
         rows.append((track, clip_id, start, cls))
-    for track in ("upper", "lower"):
+    for track in TRACKS:
         if not any(r[0] == track for r in rows):
             raise MalformedFile(f"{path}: no rows for the {track} set")
     return rows

@@ -310,8 +310,8 @@ def eval_cmd(ctx, task, feature_kind, split):
     artifacts.write_table(workdir, f"bodylang_{feature_kind}_{split}.csv",
                           metrics.scores_csv(rows))
     click.echo(metrics.scores_table(rows)
-               + f"window accuracy: upper {acc['upper']:.3f} "
-                 f"lower {acc['lower']:.3f} overall {acc['overall']:.3f}\n",
+               + "window accuracy: " + " ".join(
+                   f"{key} {value:.3f}" for key, value in acc.items()) + "\n",
                nl=False)
 
 

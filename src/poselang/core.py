@@ -114,29 +114,19 @@ class PoseSequence:
     def n_frames(self) -> int:
         return self.xy.shape[0]
 
-    def replace(self, **kw) -> "PoseSequence":
-        data = {
-            "xy": self.xy, "confidence": self.confidence, "valid": self.valid,
-            "frame_rate": self.frame_rate, "source_id": self.source_id,
-        }
-        data.update(kw)
-        return PoseSequence(**data)
-
 
 @dataclass
 class BodyLanguageSequence:
-    """Per-window class ids for both tracks over one clip: stage-1
-    predictions, or ground truth with unit confidences."""
+    """Per-window class ids and confidences over one clip, each keyed by
+    track: stage-1 predictions, or ground truth with unit confidences."""
 
     clip_id: str
-    upper: np.ndarray
-    lower: np.ndarray
-    upper_conf: np.ndarray
-    lower_conf: np.ndarray
+    ids: dict[str, np.ndarray]
+    conf: dict[str, np.ndarray]
 
     @property
     def n_windows(self) -> int:
-        return len(self.upper)
+        return len(self.ids[TRACKS[0]])
 
 
 @dataclass(frozen=True)
@@ -159,8 +149,8 @@ class JointSubset:
         return len(self.indices)
 
 
-LOWER_SUBSET = JointSubset(tuple(sorted(LOWER_JOINTS)))
-UPPER_SUBSET = JointSubset(tuple(sorted(UPPER_JOINTS)))
+SUBSETS = {"upper": JointSubset(tuple(sorted(UPPER_JOINTS))),
+           "lower": JointSubset(tuple(sorted(LOWER_JOINTS)))}
 
 
 @dataclass(frozen=True)
@@ -198,10 +188,10 @@ def load_label_sets(path) -> dict[str, LabelSet]:
 
     A background class is appended to each set automatically.
     """
-    classes: dict[str, list[str]] = {"upper": [], "lower": []}
+    classes: dict[str, list[str]] = {track: [] for track in TRACKS}
     for lineno, line in data_lines(path):
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2 or parts[0] not in ("upper", "lower"):
+        if len(parts) != 2 or parts[0] not in classes:
             raise ValidationError(f"bad label manifest line {lineno}: {line!r}")
         classes[parts[0]].append(parts[1])
     return {track: LabelSet.from_classes(names) for track, names in classes.items()}

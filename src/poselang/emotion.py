@@ -9,7 +9,7 @@ import numpy as np
 
 from . import metrics, neural
 from .bodylang import BodyLanguageSequence
-from .core import EMOTION_NAMES, LabelSet, PoselangError, ValidationError
+from .core import EMOTION_NAMES, TRACKS, LabelSet, PoselangError, ValidationError
 
 N_EMOTIONS = len(EMOTION_NAMES)  # 24 labeled emotions plus background
 
@@ -36,15 +36,15 @@ TASKS = {
 
 
 def histogram_width(label_sets: dict[str, LabelSet]) -> int:
-    return len(label_sets["upper"]) + len(label_sets["lower"])
+    return sum(len(label_sets[track]) for track in TRACKS)
 
 
 def histogram_sequence(pred: BodyLanguageSequence,
                        label_sets: dict[str, LabelSet],
                        hist_len: int, stride: int) -> np.ndarray:
-    """(n_steps, width) class counts in length-L slices of both tracks.
+    """(n_steps, width) class counts in length-L slices of every track.
 
-    Each step concatenates an upper-track and a lower-track histogram;
+    Each step concatenates one histogram per track, in `TRACKS` order;
     counts are raw (each half sums to the slice length) so the network can
     recover the window size.  With L=1, S=1 each step is a pair of
     one-hots; with L >= K a single video-level histogram is produced (the
@@ -54,22 +54,22 @@ def histogram_sequence(pred: BodyLanguageSequence,
         raise ValidationError(
             f"histogram length L={hist_len} and stride S={stride} must be >= 1")
     K = pred.n_windows
-    n_upper = pred.upper.max(initial=0) + 1
-    n_lower = pred.lower.max(initial=0) + 1
-    w_upper = len(label_sets["upper"])
-    w_lower = len(label_sets["lower"])
-    if n_upper > w_upper or n_lower > w_lower:
+    widths = [len(label_sets[track]) for track in TRACKS]
+    if any(pred.ids[track].max(initial=0) >= width
+           for track, width in zip(TRACKS, widths)):
         raise PoselangError("prediction class ids exceed the label sets")
-    if K >= hist_len:
-        starts = np.arange((K - hist_len) // stride + 1) * stride
-        L = hist_len
-    else:
-        starts = np.array([0])
-        L = K
-    steps = np.zeros((len(starts), w_upper + w_lower))
-    for i, s0 in enumerate(starts):
-        steps[i, :w_upper] = np.bincount(pred.upper[s0:s0 + L], minlength=w_upper)
-        steps[i, w_upper:] = np.bincount(pred.lower[s0:s0 + L], minlength=w_lower)
+    L = min(hist_len, K)
+    starts = np.arange((K - L) // stride + 1) * stride
+    # Step i's class c of a track is bin i * width + c of that track.
+    windows = starts[:, None] + np.arange(L)
+    offsets = np.arange(len(starts))[:, None]
+    steps = np.empty((len(starts), sum(widths)))
+    col = 0
+    for track, width in zip(TRACKS, widths):
+        bins = offsets * width + pred.ids[track][windows]
+        steps[:, col:col + width] = np.bincount(
+            bins.ravel(), minlength=len(starts) * width).reshape(-1, width)
+        col += width
     return steps
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (EMOTION_NAMES, N_JOINTS, SYMPTOM_NAMES,
+from .core import (EMOTION_NAMES, N_JOINTS, SYMPTOM_NAMES, TRACKS,
                    BodyLanguageSequence, LabelSet, PoseSequence, PoselangError,
                    data_lines)
 
@@ -253,35 +253,39 @@ def window_labels_of(entry: ManifestEntry, by_clip
 
 def load_window_labels(path, label_sets: dict[str, LabelSet],
                        clip_id: str) -> BodyLanguageSequence:
-    """Read per-window ground truth, `window_index,upper,lower` lines, as
-    class ids with unit confidences."""
+    """Read per-window ground truth, `window_index,upper,lower` lines (one
+    class column per track), as class ids with unit confidences.
+
+    Every line's column count and index are checked first, then each
+    track's class names in `TRACKS` order; the first bad one is reported.
+    """
     path = Path(path)
-    upper_ids = {name: i for i, name in enumerate(label_sets["upper"].names)}
-    lower_ids = {name: i for i, name in enumerate(label_sets["lower"].names)}
-    upper: list[int] = []
-    lower: list[int] = []
+    width = 1 + len(TRACKS)
+    rows: list[tuple[int, list[str]]] = []  # (line number, columns)
 
     def bad(problem: str) -> MalformedFile:
         return MalformedFile(f"{path} line {lineno}: {problem}")
 
     for lineno, line in data_lines(path):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise bad(f"expected 3 columns, got {len(parts)}")
-        idx, up, lo = parts
+        row = line.split(",")
+        if len(row) != width:
+            raise bad(f"expected {width} columns, got {len(row)}")
         try:
-            index = int(idx)
+            index = int(row[0])
         except ValueError:
-            raise bad(f"window index {idx!r} is not an integer") from None
-        if index != len(upper):
-            raise bad(f"window index {index}, expected {len(upper)}")
-        up_id, lo_id = upper_ids.get(up.strip()), lower_ids.get(lo.strip())
-        if up_id is None or lo_id is None:
-            track, name = ("upper", up) if up_id is None else ("lower", lo)
-            raise bad(f"unknown {track} class {name.strip()!r}")
-        upper.append(up_id)
-        lower.append(lo_id)
-    ones = np.ones(len(upper))
+            raise bad(f"window index {row[0]!r} is not an integer") from None
+        if index != len(rows):
+            raise bad(f"window index {index}, expected {len(rows)}")
+        rows.append((lineno, row))
+    ids = {}
+    for col, track in enumerate(TRACKS, 1):
+        lookup = {name: i for i, name in enumerate(label_sets[track].names)}
+        ids[track] = [lookup.get(row[col].strip()) for _, row in rows]
+        if None in ids[track]:
+            lineno, row = rows[ids[track].index(None)]
+            raise bad(f"unknown {track} class {row[col].strip()!r}")
+    ones = np.ones(len(rows))
     return BodyLanguageSequence(
-        clip_id=clip_id, upper=np.array(upper, dtype=int),
-        lower=np.array(lower, dtype=int), upper_conf=ones, lower_conf=ones)
+        clip_id=clip_id,
+        ids={track: np.array(v, dtype=int) for track, v in ids.items()},
+        conf=dict.fromkeys(TRACKS, ones))

@@ -514,8 +514,13 @@ def epochs(net, inputs, targets, spec: TrainSpec):
 
 
 def train(net, inputs, targets, spec: TrainSpec):
-    """Train for `spec.epochs` epochs; returns the per-epoch loss curve."""
-    return list(epochs(net, inputs, targets, spec))
+    """Train for `spec.epochs` epochs; returns the per-epoch loss curve.
+    A parameter left non-finite by the last SGD step raises DivergedLoss."""
+    curve = list(epochs(net, inputs, targets, spec))
+    if not all(np.isfinite(p).all() for p in net.params()):
+        raise DivergedLoss(f"parameters diverged to non-finite values by "
+                           f"epoch {spec.epochs - 1}")
+    return curve
 
 
 def flat_params(net) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
-from .core import (ADMISSIBLE_CODEBOOK_SIZES, TRACKS,
+from .core import (ADMISSIBLE_CODEBOOK_SIZES, SUBSETS, TRACKS,
                    BodyLanguageSequence, LabelSet, PipelineConfig,
                    PoselangError, PoseSequence, load_label_sets)
 
@@ -105,11 +105,11 @@ def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
     subsampled (seeded) to the configured cap before the restarted k-means.
     """
     config = ds.config
-    subset = bodylang.subset_for(track)
     pools: dict[str, list[np.ndarray]] = {}
     for entry in ds.manifest.split("train"):
         blocks = ntraj.extract_descriptors(
-            ds.sequences[entry.clip_id], subset, config.traj_len, config.gaps)
+            ds.sequences[entry.clip_id], SUBSETS[track], config.traj_len,
+            config.gaps)
         for kind, blk in blocks.items():
             if blk.values.size:
                 pools.setdefault(kind, []).append(
@@ -160,7 +160,7 @@ def train_encoders(ds: Dataset, spec: neural.TrainSpec,
                                    in_channels=2,
                                    n_classes=len(ds.label_sets[track]),
                                    seed=spec.seed),
-                images, np.concatenate([getattr(g, track) for g in gt]), spec)
+                images, np.concatenate([g.ids[track] for g in gt]), spec)
         for track in TRACKS})
 
 
@@ -222,27 +222,27 @@ def evaluate_exemplar_knn(ds: Dataset, feature_kind: str, models):
 
 def window_accuracy(ds: Dataset, preds) -> dict[str, float]:
     """Window-level accuracy against ground-truth window labels."""
-    correct = {"upper": 0, "lower": 0}
+    correct = dict.fromkeys(TRACKS, 0)
     total = 0
     for clip_id, pred in preds.items():
         gt = ds.gt.get(clip_id)
         if gt is None or not gt.n_windows:
             continue
         _check_window_count(clip_id, pred.n_windows, gt.n_windows)
-        correct["upper"] += int((pred.upper == gt.upper).sum())
-        correct["lower"] += int((pred.lower == gt.lower).sum())
+        for track in TRACKS:
+            correct[track] += int((pred.ids[track] == gt.ids[track]).sum())
         total += gt.n_windows
     if total == 0:
-        return {"upper": float("nan"), "lower": float("nan"), "overall": float("nan")}
-    out = {track: correct[track] / total for track in correct}
-    out["overall"] = (correct["upper"] + correct["lower"]) / (2 * total)
+        return dict.fromkeys((*TRACKS, "overall"), float("nan"))
+    out = {track: correct[track] / total for track in TRACKS}
+    out["overall"] = sum(correct.values()) / (len(TRACKS) * total)
     return out
 
 
 def video_multilabel(ds: Dataset, preds) -> dict[str, metrics.MultilabelScores]:
     """Video-level N-hot evaluation per track, matching the manifest labels."""
     out = {}
-    for track in ("upper", "lower"):
+    for track in TRACKS:
         lset = ds.label_sets[track]
         non_bg = [n for i, n in enumerate(lset.names)
                   if i != lset.background_index]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def repair_joints(seq: PoseSequence) -> tuple[PoseSequence, RepairReport]:
             xy[:, j, 1] = _interp_column(xy[:, j, 1], col_valid)
         report.frames_repaired[j] = n_bad
 
-    out = seq.replace(xy=xy, valid=np.ones_like(seq.valid))
+    out = replace(seq, xy=xy, valid=np.ones_like(seq.valid))
     return out, report
 
 
@@ -90,7 +90,7 @@ def torso_scale(seq: PoseSequence, target: float) -> tuple[PoseSequence, float]:
     if median < 1e-6:
         raise DegenerateTorso(f"{seq.source_id}: median torso length {median}")
     scale = target / median
-    return seq.replace(xy=seq.xy * scale), scale
+    return replace(seq, xy=seq.xy * scale), scale
 
 
 def center_on_reference(seq: PoseSequence, radius: int) -> PoseSequence:
@@ -110,7 +110,7 @@ def center_on_reference(seq: PoseSequence, radius: int) -> PoseSequence:
         lo = max(t - radius, 0)
         hi = min(t + radius + 1, n)
         ref[t] = neck[lo:hi].mean(axis=0)
-    return seq.replace(xy=seq.xy - ref[:, None, :])
+    return replace(seq, xy=seq.xy - ref[:, None, :])
 
 
 def preprocess(seq: PoseSequence, config) -> tuple[PoseSequence, RepairReport]:

@@ -8,6 +8,7 @@ and manifest formats the ingest module reads.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,9 +18,11 @@ import numpy as np
 from . import core, ingest
 from .bodylang import window_starts
 from .emotion import N_EMOTIONS
-from .core import BodyLanguageSequence, LabelSet, PipelineConfig, PoseSequence
+from .core import (TRACKS, BodyLanguageSequence, LabelSet, PipelineConfig,
+                   PoseSequence)
 
 BACKGROUND = "background"
+FRAME_RATE = 24.0
 
 # Neutral standing pose, pixel coordinates, y grows downward.
 REST_POSE = np.array([
@@ -60,18 +63,18 @@ class Move:
 @dataclass(frozen=True)
 class MotionTemplate:
     name: str
-    region: str            # upper | lower
     moves: tuple[Move, ...] = ()
     high_motion: bool = False
 
 
-def _upper_templates() -> tuple[MotionTemplate, ...]:
-    # Held postures flip the sign of at least one centered coordinate or
-    # inter-joint orientation relative to the rest pose; moving classes
-    # differ in which joints move and how fast.  Both kinds of contrast
-    # survive the per-trajectory L1 normalization of the descriptors.
-    return (
-        MotionTemplate("arms_crossed", "upper", (
+# Each track's body-language classes.  Held postures flip the sign of at
+# least one centered coordinate or inter-joint orientation relative to the
+# rest pose; moving classes differ in which joints move and how fast.  Both
+# kinds of contrast survive the per-trajectory L1 normalization of the
+# descriptors.
+TEMPLATES = {
+    "upper": (
+        MotionTemplate("arms_crossed", (
             # Right hand rests on the left shoulder: both wrist x signs and
             # the right wrist's y sign flip, so the pooled sign counts shift.
             Move(core.R_WRIST, "offset", 90, -90),
@@ -79,42 +82,39 @@ def _upper_templates() -> tuple[MotionTemplate, ...]:
             Move(core.R_ELBOW, "offset", 20, -35),
             Move(core.L_ELBOW, "offset", -18, -8),
         )),
-        MotionTemplate("hands_on_head", "upper", (
+        MotionTemplate("hands_on_head", (
             Move(core.R_WRIST, "offset", 28, -140),  # wrist/elbow y signs flip
             Move(core.L_WRIST, "offset", -28, -140),
             Move(core.R_ELBOW, "offset", -18, -70),
             Move(core.L_ELBOW, "offset", 18, -70),
         )),
-        MotionTemplate("wave", "upper", (
+        MotionTemplate("wave", (
             Move(core.L_WRIST, "sin", 26, -10, freq=0.25),
             Move(core.L_ELBOW, "sin", 10, -4, freq=0.25),
         ), high_motion=True),
-        MotionTemplate("fidget_hands", "upper", (
+        MotionTemplate("fidget_hands", (
             Move(core.R_WRIST, "sin", 9, 7, freq=0.38),
             Move(core.L_WRIST, "sin", -9, 7, freq=0.38, phase=1.3),
         ), high_motion=True),
-        MotionTemplate("reach_out", "upper", (
+        MotionTemplate("reach_out", (
             Move(core.R_WRIST, "drift", 2.2, -0.8),
             Move(core.R_ELBOW, "drift", 1.0, -0.3),
         )),
-        MotionTemplate("nod", "upper", (
+        MotionTemplate("nod", (
             Move(core.NOSE, "sin", 0, 12, freq=0.12),
             Move(core.R_EYE, "sin", 0, 11, freq=0.12),
             Move(core.L_EYE, "sin", 0, 11, freq=0.12),
         )),
-    )
-
-
-def _lower_templates() -> tuple[MotionTemplate, ...]:
-    return (
-        MotionTemplate("legs_crossed", "lower", (
+    ),
+    "lower": (
+        MotionTemplate("legs_crossed", (
             Move(core.R_ANKLE, "offset", 70, -8),    # right ankle/knee x flip
             Move(core.R_KNEE, "offset", 35, -3),
         )),
-        MotionTemplate("foot_tap", "lower", (
+        MotionTemplate("foot_tap", (
             Move(core.R_ANKLE, "sin", 0, 13, freq=0.4),
         ), high_motion=True),
-        MotionTemplate("pacing", "lower", (
+        MotionTemplate("pacing", (
             Move(core.R_HIP, "sin", 24, 0, freq=0.07),
             Move(core.L_HIP, "sin", 24, 0, freq=0.07),
             Move(core.R_KNEE, "sin", 34, 0, freq=0.07),
@@ -122,22 +122,23 @@ def _lower_templates() -> tuple[MotionTemplate, ...]:
             Move(core.R_ANKLE, "sin", 44, 0, freq=0.07),
             Move(core.L_ANKLE, "sin", 44, 0, freq=0.07, phase=0.8),
         )),
-        MotionTemplate("knee_bounce", "lower", (
+        MotionTemplate("knee_bounce", (
             Move(core.R_KNEE, "sin", 0, 11, freq=0.3),
             Move(core.R_ANKLE, "sin", 0, 5, freq=0.3),
         ), high_motion=True),
-        MotionTemplate("lean", "lower", (
+        MotionTemplate("lean", (
             Move(core.R_HIP, "offset", 35, -6),      # right hip x flip
             Move(core.L_HIP, "offset", 35, -6),
         )),
-        MotionTemplate("legs_tucked", "lower", (
+        MotionTemplate("legs_tucked", (
             # Legs swept to the left side: the whole right leg crosses the
             # midline, flipping three x signs.
             Move(core.R_HIP, "offset", 35, 4),
             Move(core.R_KNEE, "offset", 45, 6),
             Move(core.R_ANKLE, "offset", 55, 8),
         )),
-    )
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,17 @@ class EmotionRule:
         return first_a is not None and first_b is not None and first_a < first_b
 
 
+# Emotions 0-3, shared by both rule sets.
+_PRESENCE_RULES = (
+    EmotionRule("presence", "upper", "arms_crossed", emotion=0),
+    EmotionRule("presence", "upper", "wave", emotion=1),
+    EmotionRule("presence", "lower", "legs_crossed", emotion=2),
+    EmotionRule("presence", "lower", "foot_tap", emotion=3),
+)
+
+
 def default_emotion_rules() -> tuple[EmotionRule, ...]:
-    return (
-        EmotionRule("presence", "upper", "arms_crossed", emotion=0),
-        EmotionRule("presence", "upper", "wave", emotion=1),
-        EmotionRule("presence", "lower", "legs_crossed", emotion=2),
-        EmotionRule("presence", "lower", "foot_tap", emotion=3),
+    return _PRESENCE_RULES + (
         EmotionRule("order", "upper", "arms_crossed", "wave", emotion=4),
         EmotionRule("order", "upper", "wave", "arms_crossed", emotion=5),
         EmotionRule("order", "lower", "legs_crossed", "pacing", emotion=6),
@@ -177,14 +183,11 @@ def default_emotion_rules() -> tuple[EmotionRule, ...]:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    upper_templates: tuple[MotionTemplate, ...] = field(default_factory=_upper_templates)
-    lower_templates: tuple[MotionTemplate, ...] = field(default_factory=_lower_templates)
     emotion_rules: tuple[EmotionRule, ...] = field(default_factory=default_emotion_rules)
     high_motion_threshold: float = 0.35
     clip_len: int = 72
     clips_per_split: int = 48
     segment_len_range: tuple[int, int] = (28, 44)
-    frame_rate: float = 24.0
     noise_std: float = 0.0
     dropout_rate: float = 0.0
     background_prob: float = 0.25
@@ -194,24 +197,17 @@ class ScenarioSpec:
     seed: int = 0
 
     def label_sets(self) -> dict[str, LabelSet]:
-        return {
-            "upper": LabelSet.from_classes([t.name for t in self.upper_templates]),
-            "lower": LabelSet.from_classes([t.name for t in self.lower_templates]),
-        }
+        return {track: LabelSet.from_classes([t.name for t in TEMPLATES[track]])
+                for track in TRACKS}
 
     def high_motion_names(self) -> set[str]:
-        return {t.name for t in self.upper_templates + self.lower_templates
+        return {t.name for track in TRACKS for t in TEMPLATES[track]
                 if t.high_motion}
 
 
 def order_rich_emotion_rules() -> tuple[EmotionRule, ...]:
     """Rules where most emotions depend on which class appears first."""
-    rules = [
-        EmotionRule("presence", "upper", "arms_crossed", emotion=0),
-        EmotionRule("presence", "upper", "wave", emotion=1),
-        EmotionRule("presence", "lower", "legs_crossed", emotion=2),
-        EmotionRule("presence", "lower", "foot_tap", emotion=3),
-    ]
+    rules = list(_PRESENCE_RULES)
     pairs = (
         ("upper", "arms_crossed", "wave"),
         ("lower", "legs_crossed", "pacing"),
@@ -250,19 +246,16 @@ def stage2_scenario(**overrides) -> ScenarioSpec:
 @dataclass
 class ClipTruth:
     clip_id: str
-    window_labels: list[tuple[str, str]]   # (upper, lower) per window
+    window_labels: dict[str, list[str]]   # track -> class name per window
     video_labels: dict[str, tuple[str, ...]]
 
 
 def emotions_from_windows(window_labels, rules) -> np.ndarray:
-    """Recompute the emotion n-hot vector from a window label sequence;
-    with no rule firing, only background is set."""
-    upper = [w[0] for w in window_labels]
-    lower = [w[1] for w in window_labels]
+    """Recompute the emotion n-hot vector from per-track window label
+    sequences; with no rule firing, only background is set."""
     vec = np.zeros(N_EMOTIONS, dtype=int)
     for rule in rules:
-        seq = upper if rule.track == "upper" else lower
-        if rule.applies(seq):
+        if rule.applies(window_labels[rule.track]):
             vec[rule.emotion] = 1
     if vec.sum() == 0:
         vec[core.EMOTION_NAMES.index(BACKGROUND)] = 1
@@ -271,11 +264,12 @@ def emotions_from_windows(window_labels, rules) -> np.ndarray:
 
 def symptom_from_windows(window_labels, high_motion: set[str],
                          threshold: float) -> int:
-    """ME (1) when the high-frequency-motion window fraction exceeds the
-    threshold, else MDD (0)."""
-    hits = sum(1 for up, lo in window_labels
-               if up in high_motion or lo in high_motion)
-    return int(hits / len(window_labels) > threshold)
+    """ME (1) when the fraction of windows with a high-frequency-motion
+    class on any track exceeds the threshold, else MDD (0)."""
+    windows = list(zip(*(window_labels[track] for track in TRACKS)))
+    hits = sum(1 for names in windows
+               if any(name in high_motion for name in names))
+    return int(hits / len(windows) > threshold)
 
 
 def _pick_segments(spec: ScenarioSpec, templates, rng,
@@ -304,14 +298,14 @@ def _pick_segments(spec: ScenarioSpec, templates, rng,
     return segments
 
 
-def _apply_segments(xy: np.ndarray, segments, templates_by_name) -> np.ndarray:
+def _apply_segments(xy: np.ndarray, segments, templates) -> np.ndarray:
     """Frame-level class name per frame, mutating xy in place."""
+    by_name = {t.name: t for t in templates}
     frame_classes = []
     t0 = 0
     for name, length in segments:
         if name != BACKGROUND:
-            template = templates_by_name[name]
-            for move in template.moves:
+            for move in by_name[name].moves:
                 xy[t0:t0 + length, move.joint, :] += move.offsets(length)
         frame_classes.extend([name] * length)
         t0 += length
@@ -343,32 +337,20 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig
     n = spec.clip_len
 
     xy = np.tile(REST_POSE, (n, 1, 1))
-    upper_by_name = {t.name: t for t in spec.upper_templates}
-    lower_by_name = {t.name: t for t in spec.lower_templates}
     motion_bias = spec.motion_bias(clip_index) if spec.motion_bias else None
-    upper_segments = _pick_segments(spec, spec.upper_templates, rng, motion_bias)
-    lower_segments = _pick_segments(spec, spec.lower_templates, rng, motion_bias)
-    upper_frames = _apply_segments(xy, upper_segments, upper_by_name)
-    lower_frames = _apply_segments(xy, lower_segments, lower_by_name)
-
-    # Window-grid ground truth by majority frame class.
     starts = window_starts(n, config.window_len, config.window_stride)
-    window_labels = [
-        (_majority(upper_frames[w0:w0 + config.window_len]),
-         _majority(lower_frames[w0:w0 + config.window_len]))
-        for w0 in starts
-    ]
-
-    # Video-level labels: a class is present once it owns enough windows.
+    window_labels: dict[str, list[str]] = {}
     video: dict[str, tuple[str, ...]] = {}
-    for track, seq_labels in (("upper", [w[0] for w in window_labels]),
-                              ("lower", [w[1] for w in window_labels])):
-        counts: dict[str, int] = {}
-        for name in seq_labels:
-            counts[name] = counts.get(name, 0) + 1
-        present = sorted(name for name, c in counts.items()
-                         if name != BACKGROUND and c >= config.min_windows)
-        video[track] = tuple(present)
+    for track in TRACKS:
+        segments = _pick_segments(spec, TEMPLATES[track], rng, motion_bias)
+        frames = _apply_segments(xy, segments, TEMPLATES[track])
+        # Window-grid ground truth by majority frame class; a class is
+        # present in the video once it owns enough windows.
+        window_labels[track] = [_majority(frames[w0:w0 + config.window_len])
+                                for w0 in starts]
+        video[track] = tuple(sorted(
+            name for name, c in Counter(window_labels[track]).items()
+            if name != BACKGROUND and c >= config.min_windows))
 
     emotions = emotions_from_windows(window_labels, spec.emotion_rules)
     video["emotion"] = tuple(core.EMOTION_NAMES[i]
@@ -393,7 +375,7 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig
     xy = np.where(valid[..., None], xy, 0.0)
 
     seq = PoseSequence(xy=xy, confidence=confidence, valid=valid,
-                       frame_rate=spec.frame_rate, source_id=clip_id)
+                       frame_rate=FRAME_RATE, source_id=clip_id)
     truth = ClipTruth(clip_id=clip_id, window_labels=window_labels,
                       video_labels=video)
     return seq, truth
@@ -413,7 +395,7 @@ def _write_clip(seq: PoseSequence, clip_dir: Path) -> None:
 
 def _labels_field(video: dict[str, tuple[str, ...]]) -> str:
     channels = []
-    for task in ("upper", "lower", "emotion", "symptom"):
+    for task in (*TRACKS, "emotion", "symptom"):
         channels.append(f"{task}:{'|'.join(video.get(task, ()))}")
     return ";".join(channels)
 
@@ -426,10 +408,8 @@ def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "gt").mkdir(exist_ok=True)
 
-    label_lines = []
-    for track, templates in (("upper", spec.upper_templates),
-                             ("lower", spec.lower_templates)):
-        label_lines += [f"{track},{t.name}" for t in templates]
+    label_lines = [f"{track},{t.name}" for track in TRACKS
+                   for t in TEMPLATES[track]]
     (out_dir / "labels.csv").write_text("\n".join(label_lines) + "\n")
 
     manifest_lines = []
@@ -439,11 +419,11 @@ def generate_dataset(spec: ScenarioSpec, out_dir, config: PipelineConfig
         seq, truth = generate_clip(spec, idx, config)
         _write_clip(seq, out_dir / "clips" / truth.clip_id)
         gt_path = out_dir / "gt" / f"{truth.clip_id}.csv"
+        rows = zip(*(truth.window_labels[track] for track in TRACKS))
         gt_path.write_text("\n".join(
-            f"{w},{up},{lo}" for w, (up, lo) in enumerate(truth.window_labels)
-        ) + "\n")
+            f"{w},{','.join(names)}" for w, names in enumerate(rows)) + "\n")
         manifest_lines.append(
-            f"{truth.clip_id},clips/{truth.clip_id},{spec.frame_rate:g},"
+            f"{truth.clip_id},clips/{truth.clip_id},{FRAME_RATE:g},"
             f"{split},{_labels_field(truth.video_labels)},gt/{truth.clip_id}.csv")
     (out_dir / "manifest.csv").write_text("\n".join(manifest_lines) + "\n")
     return out_dir / "manifest.csv"
@@ -462,11 +442,11 @@ def pick_exemplars(manifest, gt_by_clip: dict[str, BodyLanguageSequence],
     rows: list[tuple[str, str, int, str]] = []
     train = [ingest.window_labels_of(e, gt_by_clip)
              for e in manifest.split("train")]
-    for track in ("upper", "lower"):
+    for track in TRACKS:
         for cls, name in enumerate(label_sets[track].names):
             per_clip: list[list[tuple[str, int]]] = []
             for gt in train:
-                labels = gt.upper if track == "upper" else gt.lower
+                labels = gt.ids[track]
                 hits = np.flatnonzero(labels == cls).tolist()
                 # Prefer windows inside a run of identical labels.
                 pure = [i for i in hits

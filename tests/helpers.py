@@ -70,8 +70,7 @@ def label_sequence_dataset(n_clips: int, n_windows: int,
                     name = non_bg[rng.integers(len(non_bg))]
                 seq.extend([name] * length)
             tracks[track] = seq[:n_windows]
-        window_labels = list(zip(tracks["upper"], tracks["lower"]))
-        emotions = synth.emotions_from_windows(window_labels, rules)
+        emotions = synth.emotions_from_windows(tracks, rules)
 
         def ids(track):
             lset = label_sets[track]
@@ -88,8 +87,8 @@ def label_sequence_dataset(n_clips: int, n_windows: int,
 
         def mk(d):
             return core.BodyLanguageSequence(
-                clip_id=f"lseq{i:04d}", upper=d["upper"], lower=d["lower"],
-                upper_conf=ones, lower_conf=ones)
+                clip_id=f"lseq{i:04d}", ids=d,
+                conf={"upper": ones, "lower": ones})
 
         out.append((mk(clean), mk(noisy), emotions))
     return out

@@ -5,6 +5,7 @@ Every test prints one `criterion N: PASS|FAIL` line with the measured
 numbers before asserting, so the verdicts are visible in the test log.
 """
 
+import dataclasses
 import itertools
 import time
 from pathlib import Path
@@ -122,7 +123,7 @@ def test_criterion_1_preprocess_invariance():
         a, _ = preprocess.preprocess(seq, config)
         c = float(rng.uniform(0.1, 10.0))
         shift = rng.uniform(-500.0, 500.0, size=2)
-        moved = seq.replace(xy=np.asarray(seq.xy) * c + shift)
+        moved = dataclasses.replace(seq, xy=np.asarray(seq.xy) * c + shift)
         b, _ = preprocess.preprocess(moved, config)
         scale = max(1.0, float(np.abs(a.xy).max()))
         worst_rel = max(worst_rel,
@@ -148,7 +149,7 @@ def test_criterion_2_ntraj_descriptors():
     worst = 0.0
     for _ in range(10):
         seq = make_sequence(rng, n_frames=int(rng.integers(10, 24)))
-        blocks = ntraj.extract_descriptors(seq, core.UPPER_SUBSET, 5,
+        blocks = ntraj.extract_descriptors(seq, core.SUBSETS["upper"], 5,
                                            (1, 2, 3))
         for blk in blocks.values():
             sums = np.abs(blk.values).sum(axis=-1)
@@ -165,7 +166,7 @@ def test_criterion_2_ntraj_descriptors():
                                              size=rng.integers(1, 4)).tolist())))
         n = int(rng.integers(T + max(gaps), T + max(gaps) + 30))
         seq = make_sequence(rng, n_frames=n)
-        blocks = ntraj.extract_descriptors(seq, core.LOWER_SUBSET, T, gaps)
+        blocks = ntraj.extract_descriptors(seq, core.SUBSETS["lower"], T, gaps)
         for blk in blocks.values():
             s = blk.gap or 0
             stream_len = n - s
@@ -183,10 +184,10 @@ def test_criterion_2_ntraj_descriptors():
         theta = float(rng.uniform(0.0, 2 * np.pi))
         R = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
-        moved = seq.replace(xy=np.asarray(seq.xy) @ R.T
-                            + rng.uniform(-100, 100, size=2))
-        a = ntraj.raw_streams(seq, core.UPPER_SUBSET, (1,))["inner_angle"]
-        b = ntraj.raw_streams(moved, core.UPPER_SUBSET, (1,))["inner_angle"]
+        moved = dataclasses.replace(seq, xy=np.asarray(seq.xy) @ R.T
+                                    + rng.uniform(-100, 100, size=2))
+        a = ntraj.raw_streams(seq, core.SUBSETS["upper"], (1,))["inner_angle"]
+        b = ntraj.raw_streams(moved, core.SUBSETS["upper"], (1,))["inner_angle"]
         worst_rot = max(worst_rot, float(np.abs(a.values - b.values).max()))
 
     ok = worst <= 1e-9 and counts_ok and worst_rot <= 1e-9

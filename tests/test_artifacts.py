@@ -193,6 +193,12 @@ def _swap_rows(lines):
     lines[1], lines[2] = lines[2], lines[1]
 
 
+def _drop_last_clip_lower_rows(lines):
+    clip = lines[-1].split(",")[0]
+    lines[:] = [line for line in lines
+                if not line.startswith(f"{clip},lower,")]
+
+
 @pytest.mark.parametrize("edit,line,message", [
     (lambda lines: lines.__setitem__(1, "a,b,c"), 2, "expected 5 columns"),
     (_row_edit(1, "middle"), 2, "unknown track 'middle'"),
@@ -205,6 +211,7 @@ def _swap_rows(lines):
     (lambda lines: lines.__setitem__(0, "# config=0123abcd seed=0"), 1,
      "config hash '0123abcd' != "),
     (lambda lines: lines.pop(), None, "has 23 upper and 22 lower rows"),
+    (_drop_last_clip_lower_rows, None, "has 23 upper and 0 lower rows"),
 ])
 def test_bad_prediction_csv_names_file_and_line(runner, workdir, edit, line,
                                                 message):

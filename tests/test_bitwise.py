@@ -41,7 +41,7 @@ def _all_clips(ds):
 
 def _pool(ds, track, kind):
     """Every training descriptor of one stream kind, as k-means sees it."""
-    subset = bodylang.subset_for(track)
+    subset = core.SUBSETS[track]
     return np.concatenate([
         ntraj.extract_descriptors(ds.sequences[e.clip_id], subset,
                                   ds.config.traj_len, ds.config.gaps
@@ -135,7 +135,7 @@ class TestWindowFeature:
                 seq.n_frames, ds.config.window_len, ds.config.window_stride))
             for track in core.TRACKS:
                 blocks = ntraj.extract_descriptors(
-                    seq, bodylang.subset_for(track), ds.config.traj_len,
+                    seq, core.SUBSETS[track], ds.config.traj_len,
                     ds.config.gaps)
                 assert_same_bytes(
                     cb.window_feature(blocks, books[track], starts,
@@ -159,7 +159,7 @@ class TestWindowFeature:
     def test_size_one_codebooks(self, noisy_ds):
         seq = _all_clips(noisy_ds)[0]
         order = ntraj.stream_kinds(noisy_ds.config.gaps)
-        blocks = ntraj.extract_descriptors(seq, core.UPPER_SUBSET,
+        blocks = ntraj.extract_descriptors(seq, core.SUBSETS["upper"],
                                            noisy_ds.config.traj_len,
                                            noisy_ds.config.gaps)
         ones = {kind: cb.Codebook(kind, blk.values[0, :1].copy(), inertia=0.0)
@@ -196,7 +196,7 @@ class TestClipFeatureSubsets:
 class TestInnerAngles:
     def test_noisy_clips(self, noisy_ds):
         for seq in _all_clips(noisy_ds):
-            for subset in (core.UPPER_SUBSET, core.LOWER_SUBSET):
+            for subset in (core.SUBSETS["upper"], core.SUBSETS["lower"]):
                 got = ntraj.raw_streams(seq, subset, (1, 2, 3))["inner_angle"]
                 vals, scopes = helpers.inner_angles_loop(seq, subset)
                 assert_same_bytes(got.values, vals)
@@ -204,7 +204,7 @@ class TestInnerAngles:
 
     def test_coincident_and_signed_zero_joints(self):
         seq = helpers.make_sequence(np.random.default_rng(8), n_frames=12)
-        joints = core.UPPER_SUBSET.indices
+        joints = core.SUBSETS["upper"].indices
         # Joints on top of each other and on the axes give zero vectors and
         # dot products of either sign of zero.
         xy = seq.xy.copy()
@@ -213,8 +213,8 @@ class TestInnerAngles:
         xy[4:8, joints[3], 0] = -0.0
         xy[8:, joints[2], 1] = xy[8:, joints[0], 1]
         seq = dataclasses.replace(seq, xy=xy)
-        got = ntraj.raw_streams(seq, core.UPPER_SUBSET, (1,))["inner_angle"]
-        vals, _ = helpers.inner_angles_loop(seq, core.UPPER_SUBSET)
+        got = ntraj.raw_streams(seq, core.SUBSETS["upper"], (1,))["inner_angle"]
+        vals, _ = helpers.inner_angles_loop(seq, core.SUBSETS["upper"])
         assert_same_bytes(got.values, vals)
 
 
@@ -229,9 +229,8 @@ class TestPredict:
             pred = bodylang.predict_sequence(seq, stores, ds.config, models)
             want = helpers.predict_per_window(seq, stores, ds.config, models)
             for track in core.TRACKS:
-                assert_same_bytes(getattr(pred, track), want[track][0])
-                assert_same_bytes(getattr(pred, f"{track}_conf"),
-                                  want[track][1])
+                assert_same_bytes(pred.ids[track], want[track][0])
+                assert_same_bytes(pred.conf[track], want[track][1])
 
     def test_ntraj_noisy(self, noisy_ds, books):
         stores = self._stores(noisy_ds, bodylang.FEATURE_NTRAJ_PLUS, books)

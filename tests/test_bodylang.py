@@ -80,8 +80,8 @@ class TestVideoNhot:
     def _pred(self, upper, lower):
         n = len(upper)
         return bodylang.BodyLanguageSequence(
-            clip_id="c", upper=np.array(upper), lower=np.array(lower),
-            upper_conf=np.ones(n), lower_conf=np.ones(n))
+            clip_id="c", ids={"upper": np.array(upper), "lower": np.array(lower)},
+            conf={"upper": np.ones(n), "lower": np.ones(n)})
 
     def test_min_windows_and_background(self):
         sets = {"upper": core.LabelSet.from_classes(["a", "b"]),
@@ -149,8 +149,8 @@ def test_prediction_rows_format():
     sets = {"upper": core.LabelSet.from_classes(["a"]),
             "lower": core.LabelSet.from_classes(["p"])}
     pred = bodylang.BodyLanguageSequence(
-        clip_id="c9", upper=np.array([0, 1]), lower=np.array([1, 0]),
-        upper_conf=np.array([0.5, 0.25]), lower_conf=np.array([1.0, 0.75]))
+        clip_id="c9", ids={"upper": np.array([0, 1]), "lower": np.array([1, 0])},
+        conf={"upper": np.array([0.5, 0.25]), "lower": np.array([1.0, 0.75])})
     rows = list(artifacts.prediction_rows(pred, sets))
     assert rows[0] == "c9,upper,0,a,0.500000"
     assert rows[1] == "c9,upper,1,background,0.250000"
@@ -194,7 +194,7 @@ def _per_track_encoder(ds, track, spec, clip_ids):
     for clip_id in clip_ids:
         images.append(bodylang.window_images(ds.sequences[clip_id], ds.config))
         gt = ds.gt[clip_id]
-        labels.append(gt.upper if track == "upper" else gt.lower)
+        labels.append(gt.ids[track])
     net = neural.ConvEncoder(in_hw=ds.config.pose_image_size, in_channels=2,
                              n_classes=len(lset), seed=spec.seed)
     neural.train(net, np.concatenate(images), np.concatenate(labels), spec)

@@ -472,6 +472,19 @@ def test_encoder_divergence_crosses_the_worker_boundary(runner,
     assert sorted(small_workdir.rglob("*")) == before
 
 
+def test_parameters_that_overflow_in_the_last_step_are_a_divergence(
+        runner, small_workdir):
+    """Training that leaves a parameter infinite ends as a divergence
+    (exit 4), not as an artifact refused for its payload."""
+    before = sorted(small_workdir.rglob("*"))
+    result = invoke(runner, small_workdir, "encoder", "train", "--epochs",
+                    "2", "--lr", "1.7e308", expect=4)
+    assert ("error: parameters diverged to non-finite values by epoch 1"
+            in result.output)
+    assert "payload" not in result.output
+    assert sorted(small_workdir.rglob("*")) == before
+
+
 class TestWindowCountMismatch:
     """A window_stride other than the dataset's gives each clip more
     windows than ground-truth rows; nothing truncates them silently."""
@@ -495,8 +508,8 @@ class TestWindowCountMismatch:
         clip = ds.manifest.split("test")[0].clip_id
         zeros = np.zeros(34, dtype=int)
         pred = bodylang.BodyLanguageSequence(
-            clip_id=clip, upper=zeros, lower=zeros, upper_conf=zeros + 1.0,
-            lower_conf=zeros + 1.0)
+            clip_id=clip, ids={"upper": zeros, "lower": zeros},
+            conf={"upper": zeros + 1.0, "lower": zeros + 1.0})
         out = restrided / "predictions" / "ntraj+"
         out.mkdir(parents=True)
         (out / "test.csv").write_text(
@@ -550,4 +563,4 @@ def test_load_predictions_round_trip(runner, workdir, config):
     assert len(preds) == 3
     for clip_id, pred in preds.items():
         assert pred.n_windows == 23
-        assert np.all(pred.upper_conf > 0.0)
+        assert np.all(pred.conf["upper"] > 0.0)

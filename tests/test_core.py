@@ -29,7 +29,7 @@ class TestPoseSequence:
                               valid=np.ones((0, 18), dtype=bool),
                               frame_rate=24.0)
         with pytest.raises(core.ValidationError):
-            _seq().replace(frame_rate=0.0)
+            dataclasses.replace(_seq(), frame_rate=0.0)
         with pytest.raises(core.ValidationError):
             core.PoseSequence(xy=np.zeros((3, 18, 2)),
                               confidence=np.ones((4, 18)),
@@ -46,7 +46,7 @@ class TestPoseSequence:
         seq = _seq(3)
         xy = np.asarray(seq.xy).copy()
         xy[1, core.NOSE] = (7.0, 9.0)
-        new = seq.replace(xy=xy)
+        new = dataclasses.replace(seq, xy=xy)
         assert new.n_frames == 3
         assert new.source_id == "s"
         assert tuple(new.xy[1, core.NOSE]) == (7.0, 9.0)
@@ -64,20 +64,20 @@ class TestJointSubset:
             core.JointSubset((0, 18))
 
     def test_builtin_subsets(self):
-        assert set(core.UPPER_SUBSET.indices) & set(core.LOWER_SUBSET.indices) \
-            == {core.NECK}
-        assert len(core.UPPER_SUBSET) == 12
-        assert len(core.LOWER_SUBSET) == 7
+        assert (set(core.SUBSETS["upper"].indices)
+                & set(core.SUBSETS["lower"].indices)) == {core.NECK}
+        assert len(core.SUBSETS["upper"]) == 12
+        assert len(core.SUBSETS["lower"]) == 7
 
     def test_view_projection(self):
         seq = _seq(4)
         xy = np.asarray(seq.xy).copy()
         xy[:, core.R_HIP] = (3.0, 4.0)
-        seq = seq.replace(xy=xy)
+        seq = dataclasses.replace(seq, xy=xy)
         # Trajectory streams project the sequence onto the subset's joints.
-        blocks = ntraj.raw_streams(seq, core.LOWER_SUBSET, (1,))
+        blocks = ntraj.raw_streams(seq, core.SUBSETS["lower"], (1,))
         assert blocks["posx"].values.shape == (4, 7)
-        col = core.LOWER_SUBSET.indices.index(core.R_HIP)
+        col = core.SUBSETS["lower"].indices.index(core.R_HIP)
         assert blocks["posx"].scopes[col] == (core.R_HIP,)
         assert np.all(blocks["posx"].values[:, col] == 3.0)
         assert np.all(blocks["posy"].values[:, col] == 4.0)

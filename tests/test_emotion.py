@@ -13,8 +13,8 @@ LSETS = {"upper": core.LabelSet.from_classes(["a", "b"]),
 def _pred(upper, lower):
     n = len(upper)
     return bodylang.BodyLanguageSequence(
-        clip_id="c", upper=np.array(upper), lower=np.array(lower),
-        upper_conf=np.ones(n), lower_conf=np.ones(n))
+        clip_id="c", ids={"upper": np.array(upper), "lower": np.array(lower)},
+        conf={"upper": np.ones(n), "lower": np.ones(n)})
 
 
 class TestHistogramSequence:

@@ -213,23 +213,27 @@ def test_load_window_labels(tmp_path):
     path.write_text("# w,upper,lower\n0,wave,lean\n1,background, lean\n")
     gt = ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")
     assert gt.clip_id == "c7"
-    assert gt.upper.tolist() == [0, 2] and gt.lower.tolist() == [0, 0]
-    assert gt.upper_conf.tolist() == gt.lower_conf.tolist() == [1.0, 1.0]
+    assert gt.ids["upper"].tolist() == [0, 2]
+    assert gt.ids["lower"].tolist() == [0, 0]
+    assert gt.conf["upper"].tolist() == gt.conf["lower"].tolist() == [1.0, 1.0]
     path.write_text("1,wave,lean\n")
     with pytest.raises(ingest.MalformedFile, match="gt.csv line 1"):
         ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")
 
 
-@pytest.mark.parametrize("text, line", [
-    ("0,wave,lean\n1,wave\n", 2),          # short row
-    ("0,wave,lean,extra\n", 1),            # long row
-    ("# w,upper,lower\nx,wave,lean\n", 2),  # non-integer index
-    ("0,wave,lean\n2,wave,lean\n", 2),     # out-of-order index
-    ("0,wave,lean\n1,lean,lean\n", 2),     # upper class of the other set
-    ("0,wave,nonsense\n", 1),              # unknown lower class
+@pytest.mark.parametrize("text, line, problem", [
+    ("0,wave,lean\n1,wave\n", 2, ""),          # short row
+    ("0,wave,lean,extra\n", 1, ""),            # long row
+    ("# w,upper,lower\nx,wave,lean\n", 2, ""),  # non-integer index
+    ("0,wave,lean\n2,wave,lean\n", 2, ""),     # out-of-order index
+    ("0,wave,lean\n1,lean,lean\n", 2, "unknown upper class 'lean'"),
+    ("0,wave,nonsense\n", 1, "unknown lower class 'nonsense'"),
+    # Every line's columns and index are checked before any class name.
+    ("0,wave,nonsense\n1,wave\n", 2, "expected 3 columns, got 2"),
 ])
-def test_malformed_window_labels_name_the_line(tmp_path, text, line):
+def test_malformed_window_labels_name_the_line(tmp_path, text, line, problem):
     path = tmp_path / "gt.csv"
     path.write_text(text)
-    with pytest.raises(ingest.MalformedFile, match=f"gt.csv line {line}:"):
+    with pytest.raises(ingest.MalformedFile,
+                       match=f"gt.csv line {line}: {problem}"):
         ingest.load_window_labels(path, WINDOW_LABEL_SETS, "c7")

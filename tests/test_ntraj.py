@@ -1,5 +1,6 @@
 """Trajectory streams and descriptors."""
 
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -19,8 +20,8 @@ class TestRawStreams:
     def test_shapes_and_counts(self):
         rng = np.random.default_rng(0)
         seq = make_sequence(rng, n_frames=20)
-        blocks = ntraj.raw_streams(seq, core.LOWER_SUBSET, (1, 3))
-        J = len(core.LOWER_SUBSET)
+        blocks = ntraj.raw_streams(seq, core.SUBSETS["lower"], (1, 3))
+        J = len(core.SUBSETS["lower"])
         census = {"posx": J, "posy": J, "pair_orient": comb(J, 2),
                   "inner_angle": 3 * comb(J, 3)}
         census.update({f"{k}{s}": J for k in ("dx", "dy", "angle")
@@ -41,14 +42,14 @@ class TestRawStreams:
         ones = np.ones((n, core.N_JOINTS))
         seq = core.PoseSequence(xy=xy, confidence=ones,
                                 valid=ones.astype(bool), frame_rate=24.0)
-        blocks = ntraj.raw_streams(seq, core.LOWER_SUBSET, (2,))
-        col = core.LOWER_SUBSET.indices.index(core.R_ANKLE)
+        blocks = ntraj.raw_streams(seq, core.SUBSETS["lower"], (2,))
+        col = core.SUBSETS["lower"].indices.index(core.R_ANKLE)
         assert np.allclose(blocks["dx2"].values[:, col], 4.0)
         assert np.allclose(blocks["dy2"].values[:, col], -2.0)
         assert np.allclose(blocks["angle2"].values[:, col],
                            np.arctan2(-2.0, 4.0))
         # Static joints get zero displacement AND a pinned zero angle.
-        still = [c for c in range(len(core.LOWER_SUBSET)) if c != col]
+        still = [c for c in range(len(core.SUBSETS["lower"])) if c != col]
         assert np.all(blocks["dx2"].values[:, still] == 0.0)
         assert np.all(blocks["angle2"].values[:, still] == 0.0)
 
@@ -61,7 +62,7 @@ class TestRawStreams:
         rng = np.random.default_rng(1)
         seq = make_sequence(rng, n_frames=3)
         with pytest.raises(ntraj.SequenceTooShort):
-            ntraj.raw_streams(seq, core.LOWER_SUBSET, (3,))
+            ntraj.raw_streams(seq, core.SUBSETS["lower"], (3,))
 
     def test_inner_angle_rigid_motion_invariant(self):
         rng = np.random.default_rng(2)
@@ -69,9 +70,10 @@ class TestRawStreams:
         theta = 1.234
         R = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
-        moved = seq.replace(xy=np.asarray(seq.xy) @ R.T + [17.0, -4.0])
-        a = ntraj.raw_streams(seq, core.UPPER_SUBSET, (1,))["inner_angle"]
-        b = ntraj.raw_streams(moved, core.UPPER_SUBSET, (1,))["inner_angle"]
+        moved = dataclasses.replace(
+            seq, xy=np.asarray(seq.xy) @ R.T + [17.0, -4.0])
+        a = ntraj.raw_streams(seq, core.SUBSETS["upper"], (1,))["inner_angle"]
+        b = ntraj.raw_streams(moved, core.SUBSETS["upper"], (1,))["inner_angle"]
         assert np.allclose(a.values, b.values, atol=1e-9)
         assert np.all(a.values >= 0.0) and np.all(a.values <= np.pi)
 
@@ -80,7 +82,8 @@ class TestDescriptors:
     def test_l1_normalized_or_degenerate(self):
         rng = np.random.default_rng(3)
         seq = make_sequence(rng, n_frames=16)
-        blocks = ntraj.extract_descriptors(seq, core.UPPER_SUBSET, 5, (1, 2, 3))
+        blocks = ntraj.extract_descriptors(seq, core.SUBSETS["upper"], 5,
+                                           (1, 2, 3))
         for blk in blocks.values():
             sums = np.abs(blk.values).sum(axis=-1)
             assert np.allclose(sums[~blk.degenerate], 1.0, atol=1e-9)
@@ -94,7 +97,7 @@ class TestDescriptors:
         ones = np.ones((n, core.N_JOINTS))
         seq = core.PoseSequence(xy=xy, confidence=ones,
                                 valid=ones.astype(bool), frame_rate=24.0)
-        blocks = ntraj.extract_descriptors(seq, core.LOWER_SUBSET, 5, (1,))
+        blocks = ntraj.extract_descriptors(seq, core.SUBSETS["lower"], 5, (1,))
         assert np.allclose(blocks["posx"].values, 0.2)
         assert np.allclose(blocks["posy"].values, -0.2)
         # Zero displacements are degenerate, not noise angles.
@@ -108,7 +111,8 @@ class TestDescriptors:
             gaps = tuple(sorted(set(rng.integers(1, 5, size=2).tolist())))
             n = int(rng.integers(T + max(gaps), T + max(gaps) + 20))
             seq = make_sequence(rng, n_frames=n)
-            blocks = ntraj.extract_descriptors(seq, core.LOWER_SUBSET, T, gaps)
+            blocks = ntraj.extract_descriptors(seq, core.SUBSETS["lower"], T,
+                                               gaps)
             for key, blk in blocks.items():
                 s = blk.gap or 0
                 # Brute force: count T-length windows of the (n - s)-long
@@ -131,4 +135,4 @@ class TestDescriptors:
         rng = np.random.default_rng(5)
         seq = make_sequence(rng, n_frames=6)
         with pytest.raises(ntraj.SequenceTooShort):
-            ntraj.extract_descriptors(seq, core.LOWER_SUBSET, 5, (3,))
+            ntraj.extract_descriptors(seq, core.SUBSETS["lower"], 5, (3,))

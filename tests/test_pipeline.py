@@ -22,9 +22,9 @@ def test_gt_holds_the_class_ids_of_the_gt_files(tiny_root, tiny_ds):
         for col, track in enumerate(core.TRACKS):
             want = [tiny_ds.label_sets[track].names.index(row[col])
                     for row in names]
-            assert (gt.upper if col == 0 else gt.lower).tolist() == want
-        assert gt.upper_conf.tolist() == [1.0] * len(names)
-        assert gt.lower_conf.tolist() == [1.0] * len(names)
+            assert gt.ids[track].tolist() == want
+        assert gt.conf["upper"].tolist() == [1.0] * len(names)
+        assert gt.conf["lower"].tolist() == [1.0] * len(names)
 
 
 def test_window_accuracy_matches_a_name_comparison(tiny_root, tiny_ds):
@@ -38,13 +38,13 @@ def test_window_accuracy_matches_a_name_comparison(tiny_root, tiny_ds):
             ids[track] = np.where(
                 rng.random(gt.n_windows) < 0.3,
                 rng.integers(len(lset), size=gt.n_windows),
-                gt.upper if col == 0 else gt.lower)
+                gt.ids[track])
             correct[track] += sum(lset.names[c] == row[col]
                                   for c, row in zip(ids[track], names))
         total += len(names)
         ones = np.ones(gt.n_windows)
         preds[entry.clip_id] = core.BodyLanguageSequence(
-            clip_id=entry.clip_id, upper_conf=ones, lower_conf=ones, **ids)
+            clip_id=entry.clip_id, ids=ids, conf={"upper": ones, "lower": ones})
     want = {track: correct[track] / total for track in correct}
     want["overall"] = (correct["upper"] + correct["lower"]) / (2 * total)
     assert 0 < want["overall"] < 1

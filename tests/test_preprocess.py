@@ -1,5 +1,7 @@
 """Repair, torso normalization, and reference centering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestTorsoScale:
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         seq = make_sequence(rng, n_frames=6)
-        bigger = seq.replace(xy=np.asarray(seq.xy) * 3.25)
+        bigger = dataclasses.replace(seq, xy=np.asarray(seq.xy) * 3.25)
         a, _ = preprocess.torso_scale(seq, 240.0)
         b, _ = preprocess.torso_scale(bigger, 240.0)
         assert np.allclose(np.asarray(a.xy), np.asarray(b.xy))

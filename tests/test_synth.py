@@ -24,13 +24,14 @@ class TestRules:
 
     def test_emotions_from_windows(self):
         rules = synth.default_emotion_rules()
-        windows = [("arms_crossed", "background"), ("wave", "legs_crossed")]
+        windows = {"upper": ["arms_crossed", "wave"],
+                   "lower": ["background", "legs_crossed"]}
         vec = synth.emotions_from_windows(windows, rules)
         assert vec[0] == 1 and vec[1] == 1 and vec[2] == 1
         assert vec[4] == 1 and vec[5] == 0   # arms_crossed before wave
         assert vec[24] == 0
-        none = synth.emotions_from_windows([("background", "background")],
-                                           rules)
+        none = synth.emotions_from_windows(
+            {"upper": ["background"], "lower": ["background"]}, rules)
         assert none[24] == 1 and none.sum() == 1
 
     def test_rule_sets_well_formed(self):
@@ -47,7 +48,8 @@ class TestRules:
 
     def test_symptom_threshold(self):
         hm = {"wave"}
-        windows = [("wave", "x")] * 3 + [("y", "z")] * 2
+        windows = {"upper": ["wave"] * 3 + ["y"] * 2,
+                   "lower": ["x"] * 3 + ["z"] * 2}
         assert synth.symptom_from_windows(windows, hm, 0.5) == 1
         assert synth.symptom_from_windows(windows, hm, 0.6) == 0
 
@@ -70,9 +72,11 @@ class TestGenerateClip:
         n_windows = (SPEC.clip_len - CONFIG.window_len) \
             // CONFIG.window_stride + 1
         assert seq.n_frames == SPEC.clip_len
-        assert len(truth.window_labels) == n_windows
+        assert len(truth.window_labels["upper"]) == n_windows
+        assert len(truth.window_labels["lower"]) == n_windows
         sets = SPEC.label_sets()
-        for up, lo in truth.window_labels:
+        for up, lo in zip(truth.window_labels["upper"],
+                          truth.window_labels["lower"]):
             assert up in sets["upper"].names
             assert lo in sets["lower"].names
         assert "symptom" in truth.video_labels
@@ -85,7 +89,7 @@ class TestGenerateClip:
                                         dropout_rate=0.1)
         seq, truth = synth.generate_clip(noisy_spec, 1, CONFIG)
         assert not seq.valid.all()          # dropouts present
-        assert len(truth.window_labels) > 0
+        assert len(truth.window_labels["upper"]) > 0
 
 
 class TestGenerateDataset:
@@ -107,10 +111,10 @@ class TestGenerateDataset:
         names = core.EMOTION_NAMES
         spec = synth.ScenarioSpec(clips_per_split=4, noise_std=0.0,
                                   dropout_rate=0.0)
-        up, lo = (tiny_ds.label_sets[t].names for t in core.TRACKS)
         for entry in tiny_ds.manifest.entries:
             gt = tiny_ds.gt[entry.clip_id]
-            windows = [(up[u], lo[v]) for u, v in zip(gt.upper, gt.lower)]
+            windows = {t: [tiny_ds.label_sets[t].names[i] for i in gt.ids[t]]
+                       for t in core.TRACKS}
             vec = synth.emotions_from_windows(windows, spec.emotion_rules)
             expect = tuple(names[i] for i in np.flatnonzero(vec))
             assert entry.labels["emotion"] == expect
@@ -128,12 +132,13 @@ class TestLabelSequenceDataset:
             assert clean.n_windows == 40 and noisy.n_windows == 40
             assert emo.shape == (25,)
             # Emotions derive from the clean sequence.
-            up = [sets["upper"].names[i] for i in clean.upper]
-            lo = [sets["lower"].names[i] for i in clean.lower]
-            expect = synth.emotions_from_windows(list(zip(up, lo)), rules)
+            up = [sets["upper"].names[i] for i in clean.ids["upper"]]
+            lo = [sets["lower"].names[i] for i in clean.ids["lower"]]
+            expect = synth.emotions_from_windows({"upper": up, "lower": lo},
+                                                 rules)
             assert np.array_equal(emo, expect)
-            flips += int((clean.upper != noisy.upper).sum())
-            flips += int((clean.lower != noisy.lower).sum())
+            flips += int((clean.ids["upper"] != noisy.ids["upper"]).sum())
+            flips += int((clean.ids["lower"] != noisy.ids["lower"]).sum())
             total += 2 * 40
         # Replacement is uniform over the label set, so some corrupted
         # windows keep their label; the observed flip rate sits below p.
@@ -145,7 +150,7 @@ class TestLabelSequenceDataset:
         a = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
         b = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
         for (ca, na, ea), (cb, nb, eb) in zip(a, b):
-            assert np.array_equal(na.upper, nb.upper)
+            assert np.array_equal(na.ids["upper"], nb.ids["upper"])
             assert np.array_equal(ea, eb)
 
 
@@ -171,9 +176,9 @@ def test_motion_bias_shifts_the_class_draws():
         spec = synth.stage2_scenario(motion_bias=lambda i: bias,
                                      background_prob=0.0)
         high = spec.high_motion_names()
-        labels = [w for i in range(4)
-                  for w in synth.generate_clip(spec, i, CONFIG)[1].window_labels]
-        return np.mean([up in high for up, _ in labels])
+        labels = [w for i in range(4) for w in
+                  synth.generate_clip(spec, i, CONFIG)[1].window_labels["upper"]]
+        return np.mean([up in high for up in labels])
 
     assert moving_share(1.0) > 0.9 and moving_share(0.0) < 0.1
 
@@ -204,7 +209,7 @@ class TestPickExemplars:
             assert start % config.window_stride == 0
             w = start // config.window_stride
             gt = tiny_ds.gt[clip_id]
-            ids = gt.upper if track == "upper" else gt.lower
+            ids = gt.ids[track]
             assert tiny_ds.label_sets[track].names[ids[w]] == cls
             per_class[(track, cls)] = per_class.get((track, cls), 0) + 1
         assert max(per_class.values()) <= 6

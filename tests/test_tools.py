@@ -14,7 +14,8 @@ def _digest(workdir):
 
 
 def test_lists_every_artifact_and_nothing_else(tmp_path):
-    files = {"codebooks/upper/posx.cbk": b"centroids",
+    files = {"preprocessed/repair_report.csv": b"clip000,3,0\n",
+             "codebooks/upper/posx.cbk": b"centroids",
              "exemplars/ntraj+/upper.npz": b"store",
              "predictions/ntraj+/test.csv": b"clip000,upper,0,nod,0.5\n",
              "metrics/bodylang_ntraj+.txt": b"",
@@ -28,8 +29,8 @@ def test_lists_every_artifact_and_nothing_else(tmp_path):
     assert result.stdout.splitlines() == [
         f"{hashlib.sha256(files[rel]).hexdigest()}  {rel}"
         for rel in sorted(files)
-        if rel.split("/")[0] in ("codebooks", "exemplars", "predictions",
-                                 "metrics")]
+        if rel.split("/")[0] in ("preprocessed", "codebooks", "exemplars",
+                                 "predictions", "metrics")]
 
 
 def test_equal_workdirs_print_equal_digests(tmp_path):

@@ -2,9 +2,9 @@
 
     python3 tools/artifact_digest.py WORKDIR
 
-One `<sha256>  <path>` line per file under codebooks/, encoders/,
-exemplars/, predictions/, models/ and metrics/, with paths relative to
-WORKDIR in sorted order, so that two workdirs hold byte-identical
+One `<sha256>  <path>` line per file under preprocessed/, codebooks/,
+encoders/, exemplars/, predictions/, models/ and metrics/, with paths
+relative to WORKDIR in sorted order, so that two workdirs hold byte-identical
 artifacts exactly when their outputs `diff` clean.
 """
 
@@ -14,8 +14,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-ARTIFACT_DIRS = ("codebooks", "encoders", "exemplars", "predictions",
-                 "models", "metrics")
+ARTIFACT_DIRS = ("preprocessed", "codebooks", "encoders", "exemplars",
+                 "predictions", "models", "metrics")
 
 
 def digests(workdir: Path) -> list[tuple[str, str]]:
