@@ -142,8 +142,8 @@ def codebook_train(ctx, size):
         raise PoselangError(
             f"N={size} not in admissible set {ADMISSIBLE_CODEBOOK_SIZES}")
     workdir, config, ds = _setup(ctx, codebook_size=size)
-    for track in TRACKS:
-        books = pipeline.train_codebooks(ds, track)
+    trained = {track: pipeline.train_codebooks(ds, track) for track in TRACKS}
+    for track, books in trained.items():
         out = artifacts.save_codebooks(workdir, track, books, config)
         click.echo(f"{track}: {len(books)} codebooks -> {out}")
 

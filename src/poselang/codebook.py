@@ -106,14 +106,16 @@ def _lloyd(unique, counts, n_clusters, rng):
 
     Weighted updates give the same centroids and inertia as iterating over
     the duplicated points while doing far less work on repetitive data.
-    A stable sort by label puts each cluster's points in one contiguous
-    slice, in their original order, so each centroid is one axis-0 sum
-    that adds the same rows in the same order as a masked selection would.
+    Each centroid's weighted sum is one `bincount` per descriptor column,
+    which adds a cluster's rows in their original order from +0.0, as an
+    axis-0 sum of the cluster's rows does.  (A one-column sum is pairwise
+    in numpy; pipeline descriptors of width 1 are -1, 0 or 1 with integer
+    weights, so their sums are exact in any order.)
     """
     init = rng.choice(unique.shape[0], size=n_clusters, replace=False)
     centroids = unique[init].copy()
     weights = counts.astype(np.float64)
-    weighted = unique * weights[:, None]
+    columns = (unique * weights[:, None]).T.copy()
     labels = np.full(unique.shape[0], -1)
     prev_inertia = np.inf
     for _ in range(MAX_KMEANS_ITERS):
@@ -126,19 +128,17 @@ def _lloyd(unique, counts, n_clusters, rng):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        grouped = weighted[np.argsort(labels, kind="stable")]
-        sizes = np.bincount(labels, minlength=n_clusters)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
         # Integer weights, so these totals are exact in any order.
         totals = np.bincount(labels, weights=weights, minlength=n_clusters)
-        for k in range(n_clusters):
-            if sizes[k]:
-                centroids[k] = (grouped[bounds[k]:bounds[k + 1]].sum(axis=0)
-                                / totals[k])
-            else:
-                far = int(np.argmax(d2))
-                centroids[k] = unique[far]
-                d2[far] = 0.0
+        filled = totals > 0
+        sums = np.stack([np.bincount(labels, weights=col,
+                                     minlength=n_clusters) for col in columns],
+                        axis=1)
+        centroids[filled] = sums[filled] / totals[filled, None]
+        for k in np.flatnonzero(~filled):
+            far = int(np.argmax(d2))
+            centroids[k] = unique[far]
+            d2[far] = 0.0
     _, d2 = _assign(unique, centroids)
     return centroids, float(d2 @ weights)
 

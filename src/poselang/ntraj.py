@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,6 +125,27 @@ def _normalize_block(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, degenerate
 
 
+def _check_length(n_frames: int, traj_len: int, gaps) -> None:
+    if n_frames < traj_len + max(gaps):
+        raise SequenceTooShort(
+            f"{n_frames} frames < traj_len {traj_len} + max gap {max(gaps)}")
+
+
+def descriptor_rows(n_frames: int, subset: JointSubset, traj_len: int,
+                    gaps) -> dict[str, int]:
+    """Descriptor count per stream kind of an `n_frames` clip: start
+    frames times streams, the rows of `extract_descriptors`' blocks."""
+    _check_length(n_frames, traj_len, gaps)
+    starts = n_frames - traj_len + 1
+    J = len(subset.indices)
+    rows = {"posx": starts * J, "posy": starts * J}
+    for prefix in ("dx", "dy", "angle"):
+        rows.update({f"{prefix}{s}": (starts - s) * J for s in gaps})
+    rows["pair_orient"] = starts * comb(J, 2)
+    rows["inner_angle"] = starts * 3 * comb(J, 3)
+    return rows
+
+
 def extract_descriptors(seq, subset: JointSubset, traj_len: int,
                         gaps) -> dict[str, DescriptorBlock]:
     """Slide a length-T window over every stream and L1-normalize.
@@ -132,10 +154,7 @@ def extract_descriptors(seq, subset: JointSubset, traj_len: int,
     descriptor counts stay independent of content.
     """
     gaps = tuple(sorted(gaps))
-    n = seq.n_frames
-    if n < traj_len + max(gaps):
-        raise SequenceTooShort(
-            f"{n} frames < traj_len {traj_len} + max gap {max(gaps)}")
+    _check_length(seq.n_frames, traj_len, gaps)
     blocks = raw_streams(seq, subset, gaps)
     out: dict[str, DescriptorBlock] = {}
     for key, blk in blocks.items():

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import bodylang, codebook as cb, emotion, ingest, metrics, neural, ntraj, preprocess, synth
 from .core import (ADMISSIBLE_CODEBOOK_SIZES, SUBSETS, TRACKS,
-                   BodyLanguageSequence, LabelSet, PipelineConfig,
-                   PoselangError, PoseSequence, load_label_sets)
+                   BodyLanguageSequence, InvariantViolated, LabelSet,
+                   PipelineConfig, PoselangError, PoseSequence,
+                   load_label_sets)
 
 
 class WindowCountMismatch(PoselangError):
@@ -101,31 +102,50 @@ def load_dataset(manifest_path, config: PipelineConfig) -> Dataset:
 def train_codebooks(ds: Dataset, track: str) -> dict[str, cb.Codebook]:
     """One codebook per stream kind from the training split's descriptors.
 
-    Descriptors are pooled over joints and clips; each kind's pool is
+    Descriptors are pooled over joints and clips, and each kind's pool is
     subsampled (seeded) to the configured cap before the restarted k-means.
+    The sample is drawn from each clip's row count alone; each clip's
+    descriptors are then extracted once and only its drawn rows are kept,
+    at their draw positions, so no whole pool is ever held.
     """
     config = ds.config
-    pools: dict[str, list[np.ndarray]] = {}
-    for entry in ds.manifest.split("train"):
-        blocks = ntraj.extract_descriptors(
-            ds.sequences[entry.clip_id], SUBSETS[track], config.traj_len,
-            config.gaps)
-        for kind, blk in blocks.items():
-            if blk.values.size:
-                pools.setdefault(kind, []).append(
-                    blk.values.reshape(-1, config.traj_len))
-    books: dict[str, cb.Codebook] = {}
-    for kind in ntraj.stream_kinds(config.gaps):
-        points = np.concatenate(pools[kind])
-        cap = config.codebook_sample_cap
-        if points.shape[0] > cap:
+    subset, T = SUBSETS[track], config.traj_len
+    kinds = ntraj.stream_kinds(config.gaps)
+    entries = ds.manifest.split("train")
+    rows = [ntraj.descriptor_rows(ds.sequences[e.clip_id].n_frames, subset,
+                                  T, config.gaps) for e in entries]
+    cap = config.codebook_sample_cap
+    draws = {}
+    for kind in kinds:
+        total = sum(r[kind] for r in rows)
+        if total > cap:
             rng = np.random.default_rng(
                 (config.seed, zlib.crc32(kind.encode("ascii")), 3))
-            points = points[rng.choice(points.shape[0], size=cap, replace=False)]
-        books[kind] = cb.kmeans_restarts(
-            points, config.codebook_size, config.codebook_restarts,
-            seed=config.seed, stream_kind=kind)
-    return books
+            draws[kind] = rng.choice(total, size=cap, replace=False)
+        else:
+            draws[kind] = np.arange(total)
+    samples = {kind: np.empty((len(draw), T)) for kind, draw in draws.items()}
+    first = dict.fromkeys(kinds, 0)  # pool index of the clip's first row
+    for entry, counted in zip(entries, rows):
+        blocks = ntraj.extract_descriptors(ds.sequences[entry.clip_id],
+                                           subset, T, config.gaps)
+        for kind in kinds:
+            values = blocks[kind].values
+            if values.shape[0] * values.shape[1] != counted[kind]:
+                raise InvariantViolated(
+                    f"clip {entry.clip_id}: {kind} descriptors have shape "
+                    f"{values.shape}, not the {counted[kind]} rows counted")
+            # This clip's drawn rows, copied to their draw positions.
+            drawn = draws[kind] - first[kind]
+            at = np.flatnonzero((drawn >= 0) & (drawn < counted[kind]))
+            samples[kind][at] = values.reshape(-1, T)[drawn[at]]
+            first[kind] += counted[kind]
+        # Free this clip's descriptors before the next clip's are made.
+        del blocks, values
+    return {kind: cb.kmeans_restarts(
+                samples[kind], config.codebook_size, config.codebook_restarts,
+                seed=config.seed, stream_kind=kind)
+            for kind in kinds}
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,13 @@ TEMPLATES = {
     ),
 }
 
+# The label sets a generated dataset's labels.csv declares, and the
+# classes whose share of windows decides the symptom.
+LABEL_SETS = {track: LabelSet.from_classes([t.name for t in TEMPLATES[track]])
+              for track in TRACKS}
+HIGH_MOTION_NAMES = frozenset(t.name for track in TRACKS
+                              for t in TEMPLATES[track] if t.high_motion)
+
 
 @dataclass(frozen=True)
 class EmotionRule:
@@ -195,14 +202,6 @@ class ScenarioSpec:
     # non-background segment; None draws every class alike.
     motion_bias: Callable[[int], float] | None = None
     seed: int = 0
-
-    def label_sets(self) -> dict[str, LabelSet]:
-        return {track: LabelSet.from_classes([t.name for t in TEMPLATES[track]])
-                for track in TRACKS}
-
-    def high_motion_names(self) -> set[str]:
-        return {t.name for track in TRACKS for t in TEMPLATES[track]
-                if t.high_motion}
 
 
 def order_rich_emotion_rules() -> tuple[EmotionRule, ...]:
@@ -262,7 +261,7 @@ def emotions_from_windows(window_labels, rules) -> np.ndarray:
     return vec
 
 
-def symptom_from_windows(window_labels, high_motion: set[str],
+def symptom_from_windows(window_labels, high_motion: frozenset[str],
                          threshold: float) -> int:
     """ME (1) when the fraction of windows with a high-frequency-motion
     class on any track exceeds the threshold, else MDD (0)."""
@@ -355,7 +354,7 @@ def generate_clip(spec: ScenarioSpec, clip_index: int, config: PipelineConfig
     emotions = emotions_from_windows(window_labels, spec.emotion_rules)
     video["emotion"] = tuple(core.EMOTION_NAMES[i]
                              for i in np.flatnonzero(emotions))
-    symptom = symptom_from_windows(window_labels, spec.high_motion_names(),
+    symptom = symptom_from_windows(window_labels, HIGH_MOTION_NAMES,
                                    spec.high_motion_threshold)
     video["symptom"] = ("ME",) if symptom else ("MDD",)
 

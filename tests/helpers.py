@@ -3,11 +3,12 @@ datasets that bypass the pose pipeline, numeric reference checks, and the
 loop versions of vectorized code."""
 
 import json
+import zlib
 from itertools import combinations
 
 import numpy as np
 
-from poselang import bodylang, codebook, core, neural, synth
+from poselang import bodylang, codebook, core, neural, ntraj, synth
 
 
 def make_sequence(rng, n_frames=24, jitter=5.0, frame_rate=24.0,
@@ -164,6 +165,34 @@ def lloyd_masked(unique, counts, n_clusters, rng):
                 reseeds += 1
     _, d2 = assign_unblocked(unique, centroids)
     return centroids, float(d2 @ weights), reseeds
+
+
+def train_codebooks_pooled(ds, track):
+    """`pipeline.train_codebooks` from every training descriptor of each
+    kind pooled in clip order, then subsampled to the cap."""
+    config = ds.config
+    pools = {}
+    for entry in ds.manifest.split("train"):
+        blocks = ntraj.extract_descriptors(
+            ds.sequences[entry.clip_id], core.SUBSETS[track], config.traj_len,
+            config.gaps)
+        for kind, blk in blocks.items():
+            if blk.values.size:
+                pools.setdefault(kind, []).append(
+                    blk.values.reshape(-1, config.traj_len))
+    books = {}
+    for kind in ntraj.stream_kinds(config.gaps):
+        points = np.concatenate(pools[kind])
+        cap = config.codebook_sample_cap
+        if points.shape[0] > cap:
+            rng = np.random.default_rng(
+                (config.seed, zlib.crc32(kind.encode("ascii")), 3))
+            points = points[rng.choice(points.shape[0], size=cap,
+                                       replace=False)]
+        books[kind] = codebook.kmeans_restarts(
+            points, config.codebook_size, config.codebook_restarts,
+            seed=config.seed, stream_kind=kind)
+    return books
 
 
 def window_feature_per_window(blocks, codebooks, window_starts, window_len,

@@ -391,7 +391,7 @@ def test_criterion_6_stage1_accuracy(default_env, ntraj_eval, stconv_eval):
 # 7. Stage-2 L/S ordering on an order-dependent emotion task
 
 def test_criterion_7_histogram_window_ordering():
-    lsets = synth.ScenarioSpec().label_sets()
+    lsets = synth.LABEL_SETS
     rules = order_only_emotion_rules()
     n = 240
     data = label_sequence_dataset(3 * n, 60, lsets, rules,

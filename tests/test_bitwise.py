@@ -3,6 +3,7 @@
 and on hand-made ties."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ def _pool(ds, track, kind):
         for e in ds.manifest.split("train")])
 
 
+def _arbitrary_points(seed, width, n=120):
+    """Distinct points spread over six orders of magnitude, with +0.0 and
+    -0.0 entries, and their multiplicities."""
+    rng = np.random.default_rng((seed, width))
+    points = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4,
+                                                                size=(n, 1))
+    points[rng.random(points.shape) < 0.15] = 0.0
+    points[rng.random(points.shape) < 0.15] = -0.0
+    return np.unique(np.concatenate([points, points[:n // 4]]), axis=0,
+                     return_counts=True)
+
+
 class TestLloyd:
     @pytest.mark.parametrize("kind", ["dx1", "pair_orient", "inner_angle"])
     def test_noisy_descriptors(self, noisy_ds, kind):
@@ -88,6 +101,117 @@ class TestLloyd:
                                      np.random.default_rng(3))
         assert_same_bytes(got, want)
         assert got_inertia == want_inertia
+
+    @pytest.mark.parametrize("width", [2, 5])
+    def test_arbitrary_floats(self, width):
+        """Cluster sums whose bits depend on the order of the adds; some of
+        the runs reseed an empty cluster."""
+        reseeds = 0
+        for seed in range(40):
+            unique, counts = _arbitrary_points(seed, width)
+            assert np.signbit(unique[unique == 0.0]).any()
+            for k in (3, 12, 40):
+                want, want_inertia, n = helpers.lloyd_masked(
+                    unique, counts, k, np.random.default_rng((seed, k)))
+                got, got_inertia = cb._lloyd(unique, counts, k,
+                                             np.random.default_rng((seed, k)))
+                assert_same_bytes(got, want)
+                assert got_inertia == want_inertia
+                reseeds += n
+        assert reseeds
+
+    def test_width_one_descriptors(self, noisy_ds):
+        """At traj_len 1 every descriptor is -1, 0 or 1, so numpy's
+        pairwise sum of a one-column slice is exact, as bincount's is."""
+        points = np.concatenate([
+            blk.values.reshape(-1, 1)
+            for e in noisy_ds.manifest.split("train")
+            for blk in ntraj.extract_descriptors(
+                noisy_ds.sequences[e.clip_id], core.SUBSETS["upper"], 1,
+                noisy_ds.config.gaps).values()])
+        unique, counts = np.unique(points, axis=0, return_counts=True)
+        assert set(unique.ravel()) <= {-1.0, 0.0, 1.0}
+        for k in range(1, len(unique) + 1):
+            want, want_inertia, _ = helpers.lloyd_masked(
+                unique, counts, k, np.random.default_rng(k))
+            got, got_inertia = cb._lloyd(unique, counts, k,
+                                         np.random.default_rng(k))
+            assert_same_bytes(got, want)
+            assert got_inertia == want_inertia
+
+
+def _rows(ds, track):
+    """Each training clip's descriptor count per stream kind."""
+    return [ntraj.descriptor_rows(ds.sequences[e.clip_id].n_frames,
+                                  core.SUBSETS[track], ds.config.traj_len,
+                                  ds.config.gaps)
+            for e in ds.manifest.split("train")]
+
+
+class TestTrainCodebooks:
+    @pytest.mark.parametrize("track", core.TRACKS)
+    @pytest.mark.parametrize("cap", ["below", "equal", "above"])
+    def test_pooled_oracle(self, noisy_ds, monkeypatch, track, cap):
+        """The sample drawn before pooling holds the rows, in the order,
+        that subsampling the whole pool gives, at a cap below, equal to
+        and above the posx total."""
+        posx = sum(r["posx"] for r in _rows(noisy_ds, track))
+        config = dataclasses.replace(
+            noisy_ds.config, codebook_size=10,
+            codebook_sample_cap={"below": posx // 3, "equal": posx,
+                                 "above": 10 ** 7}[cap])
+        ds = dataclasses.replace(noisy_ds, config=config)
+        clustered, kmeans = [], cb.kmeans_restarts
+
+        def recording(points, *args, **kwargs):
+            clustered.append(points)
+            return kmeans(points, *args, **kwargs)
+
+        monkeypatch.setattr(cb, "kmeans_restarts", recording)
+        want = helpers.train_codebooks_pooled(ds, track)
+        got = pipeline.train_codebooks(ds, track)
+        assert list(got) == list(want)
+        n = len(want)
+        for got_points, want_points in zip(clustered[n:], clustered[:n]):
+            assert_same_bytes(got_points, want_points)
+        for kind, book in want.items():
+            assert_same_bytes(got[kind].centroids, book.centroids)
+            assert got[kind].inertia == book.inertia
+
+    def test_counted_rows_are_checked(self, noisy_ds, monkeypatch):
+        count = ntraj.descriptor_rows
+
+        def one_too_many(*args):
+            rows = count(*args)
+            rows["dx2"] += 1
+            return rows
+
+        monkeypatch.setattr(ntraj, "descriptor_rows", one_too_many)
+        clip = noisy_ds.manifest.split("train")[0].clip_id
+        with pytest.raises(core.InvariantViolated,
+                           match=f"clip {clip}: dx2 descriptors have shape"):
+            pipeline.train_codebooks(noisy_ds, "lower")
+
+    def test_peak_memory_is_a_fraction_of_the_pool(self, tmp_path):
+        """Only the sample and one clip's descriptors are held at a time,
+        on 16 training clips as in the benchmark's NTraj+ workload."""
+        config = dataclasses.replace(core.PipelineConfig(), codebook_size=10,
+                                     codebook_restarts=1,
+                                     codebook_sample_cap=1000)
+        synth.generate_dataset(synth.ScenarioSpec(
+            clips_per_split=16, noise_std=1.5, dropout_rate=0.05), tmp_path,
+            config)
+        ds = pipeline.load_dataset(tmp_path / "manifest.csv", config)
+        # Counting the rows loads every clip before the trace starts.
+        pooled = (sum(sum(r.values()) for r in _rows(ds, "upper"))
+                  * config.traj_len * np.dtype(np.float64).itemsize)
+        tracemalloc.start()
+        try:
+            pipeline.train_codebooks(ds, "upper")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pooled / 4
 
 
 class TestQuantize:

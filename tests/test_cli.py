@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from poselang import (artifacts, bodylang, cli, core, emotion, ingest,
-                      pipeline, poseimage)
+from poselang import (artifacts, bodylang, cli, codebook, core, emotion,
+                      ingest, pipeline, poseimage)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +445,29 @@ def test_encoder_train_without_labeled_windows(runner, small_workdir,
     assert (f"{manifest}: no training clip has window labels"
             in result.output)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset"]
+
+
+def test_codebook_train_writes_no_track_when_one_fails(
+        runner, small_workdir, tmp_path, monkeypatch):
+    """Both tracks' codebooks train before either is written, so a failure
+    on the lower track leaves no upper codebooks behind."""
+    shutil.copytree(small_workdir / "dataset", tmp_path / "dataset")
+    (tmp_path / "config.txt").write_text("codebook_size=10\n"
+                                         "codebook_restarts=1\n")
+    train, trained = pipeline.train_codebooks, []
+
+    def lower_fails(ds, track):
+        if track == "lower":
+            raise codebook.TooFewPoints("no points to cluster")
+        trained.append(track)
+        return train(ds, track)
+
+    monkeypatch.setattr(pipeline, "train_codebooks", lower_fails)
+    result = invoke(runner, tmp_path, "codebook", "train", expect=3)
+    assert "error: no points to cluster" in result.output
+    assert trained == ["upper"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt",
+                                                          "dataset"]
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf"])

@@ -106,13 +106,15 @@ class TestDescriptors:
 
     def test_counts_match_brute_force(self):
         rng = np.random.default_rng(4)
-        for _ in range(10):
+        for i in range(10):
             T = int(rng.integers(2, 7))
             gaps = tuple(sorted(set(rng.integers(1, 5, size=2).tolist())))
             n = int(rng.integers(T + max(gaps), T + max(gaps) + 20))
             seq = make_sequence(rng, n_frames=n)
-            blocks = ntraj.extract_descriptors(seq, core.SUBSETS["lower"], T,
-                                               gaps)
+            subset = core.SUBSETS[core.TRACKS[i % 2]]
+            blocks = ntraj.extract_descriptors(seq, subset, T, gaps)
+            rows = ntraj.descriptor_rows(n, subset, T, gaps)
+            assert sorted(rows) == sorted(blocks)
             for key, blk in blocks.items():
                 s = blk.gap or 0
                 # Brute force: count T-length windows of the (n - s)-long
@@ -120,6 +122,7 @@ class TestDescriptors:
                 brute = sum(1 for t0 in range(n) if t0 + T <= n - s)
                 assert blk.values.shape[0] == brute
                 assert descriptor_count(n, T, blk.gap) == brute
+                assert rows[key] == brute * blk.values.shape[1]
 
     def test_kind_without_streams(self):
         # Two joints make one pair and no triple: the inner-angle block
@@ -130,9 +133,13 @@ class TestDescriptors:
         assert blocks["pair_orient"].values.shape == (8, 1, 5)
         assert blocks["inner_angle"].values.shape == (8, 0, 5)
         assert blocks["inner_angle"].scopes == []
+        rows = ntraj.descriptor_rows(12, core.JointSubset((1, 8)), 5, (1,))
+        assert rows["pair_orient"] == 8 and rows["inner_angle"] == 0
 
     def test_too_short(self):
         rng = np.random.default_rng(5)
         seq = make_sequence(rng, n_frames=6)
         with pytest.raises(ntraj.SequenceTooShort):
             ntraj.extract_descriptors(seq, core.SUBSETS["lower"], 5, (3,))
+        with pytest.raises(ntraj.SequenceTooShort):
+            ntraj.descriptor_rows(6, core.SUBSETS["lower"], 5, (3,))

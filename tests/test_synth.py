@@ -35,7 +35,7 @@ class TestRules:
         assert none[24] == 1 and none.sum() == 1
 
     def test_rule_sets_well_formed(self):
-        sets = SPEC.label_sets()
+        sets = synth.LABEL_SETS
         for rules in (synth.default_emotion_rules(),
                       synth.order_rich_emotion_rules(),
                       order_only_emotion_rules()):
@@ -74,7 +74,7 @@ class TestGenerateClip:
         assert seq.n_frames == SPEC.clip_len
         assert len(truth.window_labels["upper"]) == n_windows
         assert len(truth.window_labels["lower"]) == n_windows
-        sets = SPEC.label_sets()
+        sets = synth.LABEL_SETS
         for up, lo in zip(truth.window_labels["upper"],
                           truth.window_labels["lower"]):
             assert up in sets["upper"].names
@@ -122,7 +122,7 @@ class TestGenerateDataset:
 
 class TestLabelSequenceDataset:
     def test_shapes_and_corruption_rate(self):
-        sets = SPEC.label_sets()
+        sets = synth.LABEL_SETS
         rules = order_only_emotion_rules()
         data = label_sequence_dataset(60, 40, sets, rules,
                                       corrupt_prob=0.3, seed=1)
@@ -145,7 +145,7 @@ class TestLabelSequenceDataset:
         assert 0.15 < flips / total < 0.3
 
     def test_deterministic(self):
-        sets = SPEC.label_sets()
+        sets = synth.LABEL_SETS
         rules = order_only_emotion_rules()
         a = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
         b = label_sequence_dataset(3, 20, sets, rules, 0.2, seed=5)
@@ -175,10 +175,9 @@ def test_motion_bias_shifts_the_class_draws():
     def moving_share(bias):
         spec = synth.stage2_scenario(motion_bias=lambda i: bias,
                                      background_prob=0.0)
-        high = spec.high_motion_names()
         labels = [w for i in range(4) for w in
                   synth.generate_clip(spec, i, CONFIG)[1].window_labels["upper"]]
-        return np.mean([up in high for up in labels])
+        return np.mean([up in synth.HIGH_MOTION_NAMES for up in labels])
 
     assert moving_share(1.0) > 0.9 and moving_share(0.0) < 0.1
 
